@@ -314,6 +314,13 @@ def value_of(x):
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=float)
 
 
+def readonly(a, dtype=float):
+    """A read-only copy of ``a`` as a numpy array of ``dtype``."""
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 def sin(x):
     return x.sin() if isinstance(x, Tensor) else np.sin(x)
 
@@ -363,13 +370,6 @@ def mean(x, axis=None):
         for ax in axes:
             n *= v.shape[ax]
     return sum(x, axis=axis) / float(n)
-
-
-def dot(a, b):
-    """Inner product of two 1-d operands."""
-    if value_of(a).ndim != 1 or value_of(b).ndim != 1:
-        raise ValueError("dot expects 1-d operands")
-    return sum(a * b)
 
 
 def norm_smooth(x, axis=None, delta=ABS_SMOOTH_DELTA):

@@ -15,12 +15,6 @@ from .errors import BehindCameraError
 MIN_DEPTH = 1e-6
 
 
-def _readonly(a, dtype=float):
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Intrinsics:
     """Pinhole intrinsics in pixels; principal point (cx, cy)."""
@@ -50,8 +44,8 @@ class Extrinsics:
     translation: np.ndarray  # (3,)
 
     def __post_init__(self):
-        r = _readonly(self.rotation)
-        t = _readonly(self.translation)
+        r = ad.readonly(self.rotation)
+        t = ad.readonly(self.translation)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be (3, 3) and translation (3,)")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):

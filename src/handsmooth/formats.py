@@ -99,7 +99,7 @@ def rig_from_dict(d: dict, where: str = "rig") -> cam.CameraRig:
             )
         except SchemaError:
             raise
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise SchemaError(f"{here}: {e}") from e
         views.append((intr, extr))
     return cam.CameraRig(views=tuple(views))
@@ -110,7 +110,7 @@ def _trajectory_from_dict(d: dict, where: str) -> TrajectoryParams:
         _need(d, key, where)
     try:
         return TrajectoryParams.from_dict(d)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"{where}: {e}") from e
 
 
@@ -207,7 +207,7 @@ def sequence_from_dict(d: dict, where: str = "sequence") -> SequenceFile:
         )
     except SchemaError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"{where}.observations: {e}") from e
     gt_d = d.get("ground_truth")
     ground_truth = (

@@ -34,12 +34,6 @@ _BASIS_SEED = 20240817
 _MAX_BASIS_ROW_NORM = 0.1
 
 
-def _readonly(a, dtype=float):
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class HandSkeleton:
     """Rest-pose kinematic tree loaded from a versioned model file.
@@ -56,9 +50,9 @@ class HandSkeleton:
     shape_basis: np.ndarray   # (21, 10)
 
     def __post_init__(self):
-        parents = _readonly(self.parents, dtype=int)
-        offsets = _readonly(self.rest_offsets)
-        basis = _readonly(self.shape_basis)
+        parents = ad.readonly(self.parents, dtype=int)
+        offsets = ad.readonly(self.rest_offsets)
+        basis = ad.readonly(self.shape_basis)
         if parents.shape != (NUM_JOINTS,):
             raise ValueError("parents must have shape (21,)")
         if offsets.shape != (NUM_JOINTS, 3):
@@ -121,7 +115,7 @@ class ShapeParams:
     beta: np.ndarray  # (10,)
 
     def __post_init__(self):
-        beta = _readonly(self.beta)
+        beta = ad.readonly(self.beta)
         if beta.shape != (NUM_SHAPE_PARAMS,):
             raise ValueError("beta must have shape (10,)")
         if not np.all(np.isfinite(beta)):
@@ -146,9 +140,9 @@ class FramePose:
     joint_rotations: np.ndarray  # (15, 3) axis-angle per articulated joint
 
     def __post_init__(self):
-        orient = _readonly(self.global_orient)
-        position = _readonly(self.position)
-        rots = _readonly(self.joint_rotations)
+        orient = ad.readonly(self.global_orient)
+        position = ad.readonly(self.position)
+        rots = ad.readonly(self.joint_rotations)
         if orient.shape != (3,) or position.shape != (3,):
             raise ValueError("global_orient and position must have shape (3,)")
         if rots.shape != (NUM_ARTICULATED, 3):
@@ -234,20 +228,6 @@ def bone_scales(skeleton: HandSkeleton, beta):
     return ad.exp(ad.sum(skeleton.shape_basis * beta, axis=-1))
 
 
-def apply_shape(skeleton: HandSkeleton, shape: ShapeParams) -> HandSkeleton:
-    """Skeleton with rest offsets scaled by the shape coefficients.
-
-    beta = 0 reproduces the input offsets exactly.
-    """
-    scales = np.asarray(bone_scales(skeleton, shape.beta))
-    return HandSkeleton(
-        version=skeleton.version,
-        parents=skeleton.parents,
-        rest_offsets=skeleton.rest_offsets * scales[:, None],
-        shape_basis=skeleton.shape_basis,
-    )
-
-
 def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations):
     """World joint positions for a batch of frames, shape (N, 21, 3).
 
@@ -314,7 +294,7 @@ def skeleton_from_dict(d: dict) -> HandSkeleton:
             rest_offsets=np.asarray(d["rest_offsets"], dtype=float),
             shape_basis=np.asarray(d["shape_basis"], dtype=float),
         )
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, OverflowError) as e:
         raise ModelFileError(str(e)) from e
 
 

@@ -10,11 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateObservationError
 from .hand_model import HandSkeleton
 from .objective import (
     SequenceObservation,
     TrajectoryParams,
-    _view_residual_terms,
+    reprojection_loss,
     trajectory_joints,
 )
 
@@ -54,15 +55,10 @@ def reprojection_px(
     Unlike the optimization objective, an observation with nothing visible
     in front of any camera scores 0.0 here instead of raising.
     """
-    joints = trajectory_joints(traj, skeleton)
-    total = 0.0
-    count = 0.0
-    for dist, mask in _view_residual_terms(joints, obs, norm):
-        total += float(np.sum(dist * mask))
-        count += float(np.sum(mask))
-    if count == 0:
+    try:
+        return reprojection_loss(traj, obs, skeleton, norm)
+    except DegenerateObservationError:
         return 0.0
-    return total / count
 
 
 @dataclass(frozen=True)

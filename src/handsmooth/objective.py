@@ -28,14 +28,10 @@ FRAME_PARAMS = 51
 MIN_FRAMES = 3
 
 REPROJECTION_NORMS = ("l2", "l2_squared", "l1")
+# The objective's unweighted terms, in the order their weighted sum is taken.
+TERMS = ("acce_pose", "acce_orients", "acce_position", "loss_2d")
 
 DELTA = ad.ABS_SMOOTH_DELTA
-
-
-def _readonly(a, dtype=float):
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -70,10 +66,10 @@ class TrajectoryParams:
     joint_rotations: np.ndarray  # (N, 15, 3)
 
     def __post_init__(self):
-        shape = _readonly(self.shape)
-        orients = _readonly(self.orients)
-        positions = _readonly(self.positions)
-        rots = _readonly(self.joint_rotations)
+        shape = ad.readonly(self.shape)
+        orients = ad.readonly(self.orients)
+        positions = ad.readonly(self.positions)
+        rots = ad.readonly(self.joint_rotations)
         if shape.shape != (NUM_SHAPE_PARAMS,):
             raise ValueError("shape must have shape (10,)")
         n = orients.shape[0] if orients.ndim else 0
@@ -134,7 +130,7 @@ class TrajectoryParams:
             shape=np.asarray(d["shape"], dtype=float),
             orients=np.asarray(d["orients"], dtype=float),
             positions=np.asarray(d["positions"], dtype=float),
-            joint_rotations=rots.reshape(rots.shape[0], NUM_ARTICULATED, 3),
+            joint_rotations=rots.reshape(-1, NUM_ARTICULATED, 3),
         )
 
 
@@ -147,8 +143,8 @@ class SequenceObservation:
     rig: cam.CameraRig
 
     def __post_init__(self):
-        lm = _readonly(self.landmarks_2d)
-        vis = _readonly(self.visibility, dtype=bool)
+        lm = ad.readonly(self.landmarks_2d)
+        vis = ad.readonly(self.visibility, dtype=bool)
         n_views = self.rig.num_views
         if lm.ndim != 4 or lm.shape[1] != n_views or lm.shape[2:] != (21, 2):
             raise ValueError("landmarks_2d must have shape (N, V, 21, 2)")
@@ -192,16 +188,16 @@ def trajectory_joints(traj: TrajectoryParams, skeleton: HandSkeleton) -> np.ndar
     )
 
 
-def _view_residual_terms(joints, obs: SequenceObservation, norm: str):
-    """Per-view masked pixel distances.
+def _reprojection(joints, obs: SequenceObservation, norm: str):
+    """Mean masked pixel distance over every view.
 
-    Returns a list of (dist, mask) pairs, dist (N, 21) of the input kind and
-    mask (N, 21) plain float; mask entries are 1 only for landmarks that are
-    visible and strictly in front of the camera.
+    A landmark counts only when it is visible and strictly in front of the
+    camera. Raises DegenerateObservationError when none counts.
     """
     if norm not in REPROJECTION_NORMS:
         raise ValueError(f"norm must be one of {REPROJECTION_NORMS}")
-    terms = []
+    count = 0.0
+    total = None
     for vi, view in enumerate(obs.rig.views):
         u, v, in_front = cam.project_points_masked(joints, view)
         mask = (obs.visibility[:, vi] & in_front).astype(float)
@@ -213,15 +209,6 @@ def _view_residual_terms(joints, obs: SequenceObservation, norm: str):
             dist = du * du + dv * dv
         else:
             dist = ad.abs_smooth(du) + ad.abs_smooth(dv)
-        terms.append((dist, mask))
-    return terms
-
-
-def _reprojection_generic(joints, obs: SequenceObservation, norm: str):
-    terms = _view_residual_terms(joints, obs, norm)
-    count = 0.0
-    total = None
-    for dist, mask in terms:
         count += mask.sum()
         s = ad.sum(dist * mask)
         total = s if total is None else total + s
@@ -230,6 +217,69 @@ def _reprojection_generic(joints, obs: SequenceObservation, norm: str):
             "no landmark is visible and in front of a camera"
         )
     return total / count
+
+
+def _live(x, weight):
+    # a zero-weight term is evaluated on plain values, off any tape
+    return x if weight != 0.0 else ad.value_of(x)
+
+
+def _loss_terms(shape_vec, orients, positions, joint_rots, obs, skeleton, weights, norm):
+    """The four unweighted terms, keyed by TERMS, and their weighted total.
+
+    A term with a nonzero weight is evaluated on the inputs as given, so it
+    records when they are tape Tensors. A zero-weight term is evaluated on
+    their plain values: it is still reported, but stays off the tape and out
+    of the gradient, and adds nothing to the total.
+    """
+    ws = (weights.acce_pose, weights.acce_orients, weights.acce_position, weights.reprojection)
+    terms = {
+        "acce_pose": acceleration_loss(_live(joint_rots, ws[0])),
+        "acce_orients": acceleration_loss(_live(orients, ws[1])),
+        "acce_position": acceleration_loss(_live(positions, ws[2])),
+    }
+    joints = fk_joints(
+        skeleton, *(_live(x, ws[3]) for x in (shape_vec, orients, positions, joint_rots))
+    )
+    terms["loss_2d"] = _reprojection(joints, obs, norm)
+    total = None
+    for name, weight in zip(TERMS, ws):
+        if weight != 0.0:
+            scaled = terms[name] * weight
+            total = scaled if total is None else total + scaled
+    if total is None:
+        # all weights zero: a constant +0.0 that still depends on the tape
+        total = ad.sum(orients * orients) * 0.0
+    return terms, total
+
+
+def _floats(terms: dict) -> dict:
+    return {name: float(ad.value_of(value)) for name, value in terms.items()}
+
+
+def loss_components(
+    traj: TrajectoryParams,
+    obs: SequenceObservation,
+    skeleton: HandSkeleton,
+    weights: LossWeights = LossWeights(),
+    norm: str = "l2",
+) -> dict:
+    """All four unweighted components plus the weighted total, as floats.
+
+    Components are evaluated regardless of their weights, so reports stay
+    truthful when a term is disabled.
+    """
+    terms, total = _loss_terms(
+        traj.shape,
+        traj.orients,
+        traj.positions,
+        traj.joint_rotations,
+        obs,
+        skeleton,
+        weights,
+        norm,
+    )
+    return _floats(dict(terms, total=total))
 
 
 def reprojection_loss(
@@ -245,31 +295,7 @@ def reprojection_loss(
     scale with the number of views. Raises DegenerateObservationError when
     nothing is left to average.
     """
-    joints = trajectory_joints(traj, skeleton)
-    return float(ad.value_of(_reprojection_generic(joints, obs, norm)))
-
-
-def _total_generic(shape_vec, orients, positions, joint_rots, obs, skeleton, weights, norm):
-    total = None
-
-    def add(term, weight):
-        nonlocal total
-        scaled = term * weight
-        total = scaled if total is None else total + scaled
-
-    if weights.acce_pose != 0.0:
-        add(acceleration_loss(joint_rots), weights.acce_pose)
-    if weights.acce_orients != 0.0:
-        add(acceleration_loss(orients), weights.acce_orients)
-    if weights.acce_position != 0.0:
-        add(acceleration_loss(positions), weights.acce_position)
-    if weights.reprojection != 0.0:
-        joints = fk_joints(skeleton, shape_vec, orients, positions, joint_rots)
-        add(_reprojection_generic(joints, obs, norm), weights.reprojection)
-    if total is None:
-        # all weights zero: a constant zero that still depends on the tape
-        total = ad.sum(orients) * 0.0
-    return total
+    return loss_components(traj, obs, skeleton, norm=norm)["loss_2d"]
 
 
 def total_loss(
@@ -279,50 +305,8 @@ def total_loss(
     weights: LossWeights = LossWeights(),
     norm: str = "l2",
 ) -> float:
-    """Weighted sum of the four loss terms. Zero-weight terms are skipped,
-    which leaves the value unchanged and decouples them from the gradient."""
-    val = _total_generic(
-        traj.shape,
-        traj.orients,
-        traj.positions,
-        traj.joint_rotations,
-        obs,
-        skeleton,
-        weights,
-        norm,
-    )
-    return float(ad.value_of(val))
-
-
-def loss_components(
-    traj: TrajectoryParams,
-    obs: SequenceObservation,
-    skeleton: HandSkeleton,
-    weights: LossWeights = LossWeights(),
-    norm: str = "l2",
-) -> dict:
-    """All four unweighted components plus the weighted total, as floats.
-
-    Components are evaluated regardless of their weights, so reports stay
-    truthful when a term is disabled.
-    """
-    acce_pose = float(ad.value_of(acceleration_loss(traj.joint_rotations)))
-    acce_orients = float(ad.value_of(acceleration_loss(traj.orients)))
-    acce_position = float(ad.value_of(acceleration_loss(traj.positions)))
-    loss_2d = reprojection_loss(traj, obs, skeleton, norm)
-    total = (
-        weights.acce_pose * acce_pose
-        + weights.acce_orients * acce_orients
-        + weights.acce_position * acce_position
-        + weights.reprojection * loss_2d
-    )
-    return {
-        "acce_pose": acce_pose,
-        "acce_orients": acce_orients,
-        "acce_position": acce_position,
-        "loss_2d": loss_2d,
-        "total": total,
-    }
+    """Weighted sum of the four loss terms. Zero-weight terms add nothing."""
+    return loss_components(traj, obs, skeleton, weights, norm)["total"]
 
 
 def make_flat_objective(
@@ -330,10 +314,12 @@ def make_flat_objective(
     skeleton: HandSkeleton,
     weights: LossWeights = LossWeights(),
     norm: str = "l2",
+    terms_out: dict | None = None,
 ):
     """Objective over the flat parameter vector, for the tape and the
     finite-difference checker. The vector layout matches
-    ``TrajectoryParams.to_flat``."""
+    ``TrajectoryParams.to_flat``. When ``terms_out`` is a dict, each
+    evaluation stores its four unweighted terms there as floats."""
     n = obs.num_frames
 
     def objective(vec):
@@ -342,8 +328,11 @@ def make_flat_objective(
         orients = frames[:, 0:3]
         positions = frames[:, 3:6]
         joint_rots = ad.reshape(frames[:, 6:51], (n, NUM_ARTICULATED, 3))
-        return _total_generic(
+        terms, total = _loss_terms(
             shape_vec, orients, positions, joint_rots, obs, skeleton, weights, norm
         )
+        if terms_out is not None:
+            terms_out.update(_floats(terms))
+        return total
 
     return objective

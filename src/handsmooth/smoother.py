@@ -101,9 +101,10 @@ class LossReport:
 
     Entry 0 is the loss at the initial parameters; entry i holds the loss
     after i steps together with the learning rate used for step i (the final
-    entry reports the schedule endpoint instead). ``non_improving`` is set
-    when the final total exceeds the initial one, so regressions are always
-    flagged rather than silent.
+    entry reports the schedule endpoint instead). Every entry but the final
+    one is read from the recorded pass that produced step i's gradient.
+    ``non_improving`` is set when the final total exceeds the initial one, so
+    regressions are always flagged rather than silent.
     """
 
     entries: list = field(default_factory=list)
@@ -204,7 +205,10 @@ def smooth(
         raise ValueError("trajectory and observations disagree on frame count")
     flat0 = initial.to_flat()
     n = initial.num_frames
-    objective = make_flat_objective(obs, skeleton, config.weights, config.reprojection_norm)
+    terms = {}  # the unweighted terms of the latest recorded pass
+    objective = make_flat_objective(
+        obs, skeleton, config.weights, config.reprojection_norm, terms
+    )
     frozen = np.zeros(flat0.size, dtype=bool)
     if not config.optimize_shape:
         frozen[:NUM_SHAPE_PARAMS] = True
@@ -214,15 +218,7 @@ def smooth(
 
     def snapshot(iteration, comps):
         report.entries.append(
-            LossEntry(
-                iteration=iteration,
-                lr=float(cosine_lr(iteration, config)),
-                total=comps["total"],
-                acce_pose=comps["acce_pose"],
-                acce_orients=comps["acce_orients"],
-                acce_position=comps["acce_position"],
-                loss_2d=comps["loss_2d"],
-            )
+            LossEntry(iteration=iteration, lr=float(cosine_lr(iteration, config)), **comps)
         )
 
     for it in range(config.max_iters):
@@ -242,23 +238,18 @@ def smooth(
             raise DivergedError(
                 f"non-finite loss or gradient at iteration {it}", report=report
             )
-        comps = loss_components(
-            TrajectoryParams.from_flat(params, n),
-            obs,
-            skeleton,
-            config.weights,
-            config.reprojection_norm,
-        )
-        snapshot(it, comps)
+        snapshot(it, dict(terms, total=loss))
         if it % 100 == 0:
-            log.debug("iteration %d total %.6g", it, comps["total"])
+            log.debug("iteration %d total %.6g", it, loss)
         grad[frozen] = 0.0
         params, state = adamw_step(params, grad, state, cosine_lr(it, config), config)
         params[frozen] = flat0[frozen]  # weight decay must not move frozen params
 
     refined = TrajectoryParams.from_flat(params, n)
-    comps = loss_components(refined, obs, skeleton, config.weights, config.reprojection_norm)
-    snapshot(config.max_iters, comps)
+    snapshot(
+        config.max_iters,
+        loss_components(refined, obs, skeleton, config.weights, config.reprojection_norm),
+    )
     report.non_improving = report.entries[-1].total > report.entries[0].total
     if report.non_improving:
         log.warning(

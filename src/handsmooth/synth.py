@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import camera as cam
 from .errors import SchemaError, SpecError
 from .hand_model import NUM_ARTICULATED, NUM_SHAPE_PARAMS, HandSkeleton
@@ -26,12 +27,6 @@ MAX_AMPLITUDE = (1.3, 1.7, 1.2)
 _MIRROR_AA = np.array([1.0, -1.0, -1.0])
 _MIRROR_POS = np.array([-1.0, 1.0, 1.0])
 _MIRROR_MAT = np.diag(_MIRROR_POS)
-
-
-def _readonly(a, dtype=float):
-    a = np.array(a, dtype=dtype)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class WristPath:
         if self.speed < 0 or not np.isfinite(self.speed):
             raise ValueError("speed must be finite and >= 0")
         for name in ("start", "direction", "center", "normal"):
-            v = _readonly(getattr(self, name))
+            v = ad.readonly(getattr(self, name))
             if v.shape != (3,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be a finite 3-vector")
             object.__setattr__(self, name, v)
@@ -102,7 +97,7 @@ class RigSpec:
         if self.radius <= 0:
             raise ValueError("rig radius must be positive")
         if self.center is not None:
-            c = _readonly(self.center)
+            c = ad.readonly(self.center)
             if c.shape != (3,) or not np.all(np.isfinite(c)):
                 raise ValueError("center must be a finite 3-vector")
             object.__setattr__(self, "center", c)
@@ -137,7 +132,7 @@ class MotionSpec:
             v = getattr(self, name)
             if v is None:
                 continue
-            v = _readonly(v)
+            v = ad.readonly(v)
             if v.shape != (NUM_ARTICULATED,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be a finite (15,) array")
             object.__setattr__(self, name, v)
@@ -146,11 +141,11 @@ class MotionSpec:
             if np.any(np.abs(self.amplitude) > caps):
                 raise ValueError("amplitudes exceed plausible flexion ranges")
         for name in ("orient_start", "orient_rate"):
-            v = _readonly(getattr(self, name))
+            v = ad.readonly(getattr(self, name))
             if v.shape != (3,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be a finite 3-vector")
             object.__setattr__(self, name, v)
-        beta = _readonly(self.beta)
+        beta = ad.readonly(self.beta)
         if beta.shape != (NUM_SHAPE_PARAMS,) or not np.all(np.isfinite(beta)):
             raise ValueError("beta must be a finite (10,) array")
         object.__setattr__(self, "beta", beta)
@@ -221,7 +216,7 @@ class MotionSpec:
                     center=opt(rig.get("center")),
                 ),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise SchemaError(f"invalid motion spec: {e}") from e
 
 
@@ -265,7 +260,7 @@ class NoiseSpec:
                 visibility_dropout=float(d.get("visibility_dropout", 0.0)),
                 seed=int(d.get("seed", 0)),
             )
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise SchemaError(f"invalid noise spec: {e}") from e
 
 
@@ -501,12 +496,11 @@ def random_problem(num_frames: int, num_views: int, seed: int):
 def gradient_sweep(num_frames: int, num_views: int, count: int, h: float = 1e-6):
     """check_gradient over ``count`` seeded random instances; returns the
     per-instance max relative errors."""
-    from .autodiff import check_gradient
     from .objective import make_flat_objective
 
     errs = []
     for seed in range(count):
         traj, obs, skeleton = random_problem(num_frames, num_views, seed)
         objective = make_flat_objective(obs, skeleton)
-        errs.append(check_gradient(objective, traj.to_flat(), h))
+        errs.append(ad.check_gradient(objective, traj.to_flat(), h))
     return errs

@@ -45,16 +45,6 @@ class TestHandComputedGradients:
         assert value == 2.0
         assert np.array_equal(grad, np.full(5, 0.2))
 
-    def test_dot(self):
-        a = np.array([1.0, 2.0, 3.0])
-
-        def fn(x):
-            return ad.dot(a, x)
-
-        value, grad = backprop(fn, [4.0, 5.0, 6.0])
-        assert value == 32.0
-        assert np.array_equal(grad, a)
-
     def test_getitem_slice(self):
         value, grad = backprop(lambda x: ad.sum(x[1:3]), np.arange(4.0))
         assert value == 3.0

@@ -174,6 +174,24 @@ class TestEval:
         assert "frames" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "mutate, where",
+        [
+            (lambda d: d["init"].update(joint_rotations=0.5), "init"),
+            (lambda d: d["rig"]["views"][0]["intrinsics"].update(width=1e300), "rig.views[0]"),
+        ],
+    )
+    def test_malformed_sequence_exits_1(self, fixtures_dir, tmp_path, capsys, mutate, where):
+        d = read_json(fixtures_dir / "sequence_small.json")
+        mutate(d)
+        bad = tmp_path / "bad.json"
+        # 1e300 becomes 1e400 in the file, which JSON reads as infinity
+        bad.write_text(json.dumps(d).replace("1e+300", "1e400"))
+        assert main(["eval", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{bad}.{where}: " in err
+
+
 class TestPerturb:
     def test_zero_range_is_identity(self, fixtures_dir, tmp_path):
         out = tmp_path / "same.json"

@@ -1,6 +1,9 @@
 """File formats: JSON schemas, round trips, and error reporting."""
 
+import importlib.util
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from handsmooth.metrics import MetricReport
 from handsmooth.smoother import LossReport
 
 from conftest import constant_velocity_motion, exact_sequence
+
+GEN_FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_fixtures.py"
 
 
 def make_sequence_file(num_frames=4, with_gt=True):
@@ -92,6 +97,17 @@ class TestFixturesLoad:
     def test_metric_report(self, fixtures_dir):
         report = MetricReport.from_dict(read_json(fixtures_dir / "metric_report.json"))
         assert report.reproj_px >= 0.0
+
+    def test_generator_reproduces_every_fixture_byte_for_byte(self, fixtures_dir, tmp_path):
+        spec = importlib.util.spec_from_file_location("gen_fixtures", GEN_FIXTURES)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        gen.main(tmp_path)
+        committed = sorted(p.name for p in fixtures_dir.iterdir())
+        assert len(committed) == 7
+        assert sorted(p.name for p in tmp_path.iterdir()) == committed
+        for name in committed:
+            assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
 
 
 class TestSequenceRoundTrip:
@@ -197,6 +213,53 @@ class TestSequenceSchemaErrors:
         del d["init"]["positions"]
         with pytest.raises(SchemaError, match="init: missing key 'positions'"):
             sequence_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "mutate, where",
+        [
+            (lambda d: d["init"].update(joint_rotations=0.5), "sequence.init"),
+            # JSON 1e400 reads as infinity
+            (
+                lambda d: d["rig"]["views"][0]["intrinsics"].update(width=float("inf")),
+                "sequence.rig.views[0]",
+            ),
+            # an integer literal too large for any float
+            (lambda d: d["init"]["positions"][0].__setitem__(0, 10**400), "sequence.init"),
+            (
+                lambda d: d["observations"]["landmarks_2d"][0][0][0].__setitem__(0, 10**400),
+                "sequence.observations",
+            ),
+        ],
+    )
+    def test_unconvertible_value(self, mutate, where):
+        d = make_sequence_file().to_dict()
+        mutate(d)
+        with pytest.raises(SchemaError, match="^" + re.escape(where) + ": "):
+            sequence_from_dict(d)
+
+    def test_overflowing_inline_skeleton(self, skeleton):
+        d = make_sequence_file().to_dict()
+        inline = skeleton_to_dict(skeleton)
+        inline["rest_offsets"][1][0] = 10**400  # an integer literal no float holds
+        d["skeleton"] = {"inline": inline}
+        with pytest.raises(SchemaError):
+            sequence_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "load, spec, key, value",
+        [
+            (hs.load_motion_spec, constant_velocity_motion(8), "num_frames", float("inf")),
+            (hs.load_motion_spec, constant_velocity_motion(8), "wrist", "line"),
+            (hs.load_noise_spec, hs.NoiseSpec(), "seed", float("inf")),
+        ],
+    )
+    def test_malformed_spec(self, tmp_path, load, spec, key, value):
+        d = spec.to_dict()
+        d[key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(SchemaError, match="spec.json"):
+            load(path)
 
     def test_load_reports_file_path(self, tmp_path):
         path = tmp_path / "bad_sequence.json"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import handsmooth as hs
+from handsmooth import smoother
 from handsmooth.errors import DivergedError
 from handsmooth.smoother import CSV_COLUMNS, AdamWState
 
@@ -199,6 +200,35 @@ class TestSmoothLoop:
         _, obs, _ = hs.random_problem(5, 1, seed=13)
         with pytest.raises(ValueError):
             hs.smooth(traj, obs, skeleton)
+
+    @pytest.mark.parametrize(
+        "weights, disabled",
+        [
+            (hs.LossWeights(0.5, 0.0, 0.5, 1.0), ("acce_orients",)),
+            (hs.LossWeights(0.5, 0.0, 0.5, 0.0), ("acce_orients", "loss_2d")),
+        ],
+    )
+    def test_report_is_truthful_and_evaluated_once(self, monkeypatch, weights, disabled):
+        traj, obs, skeleton = hs.random_problem(4, 2, seed=14)
+        calls = []
+        original = smoother.loss_components
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(smoother, "loss_components", spy)
+        config = hs.SmootherConfig(max_iters=6, weights=weights)
+        refined, report = hs.smooth(traj, obs, skeleton, config)
+        assert len(calls) == 1
+        first, last = vars(report.entries[0]), vars(report.entries[-1])
+        for entry, at in ((first, traj), (last, refined)):
+            comps = original(at, obs, skeleton, weights)
+            assert {k: entry[k] for k in comps} == comps
+        for name in disabled:
+            assert first[name] > 0.0
+        flat_objective = hs.make_flat_objective(obs, skeleton, weights)
+        assert first["total"] == float(flat_objective(traj.to_flat()))
 
 
 class TestLossReport:

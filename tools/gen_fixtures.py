@@ -1,11 +1,12 @@
-"""Regenerate the frozen test fixtures under tests/fixtures/.
+"""Regenerate the frozen test fixtures, by default under tests/fixtures/.
 
 Every artifact is deterministic: fixed specs, fixed seeds, deterministic
 JSON serialization. Run from the repository root after installing the
-package: python3 tools/gen_fixtures.py
+package: python3 tools/gen_fixtures.py [OUT_DIR]
 """
 
 import pathlib
+import sys
 
 import numpy as np
 
@@ -99,15 +100,16 @@ def small_sequence() -> hs.SequenceFile:
     )
 
 
-def main():
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    formats.save_motion_spec(FIXTURES / "motion_demo.json", motion_demo())
-    formats.save_noise_spec(FIXTURES / "noise_demo.json", noise_demo())
-    formats.save_motion_spec(FIXTURES / "acceptance_motion.json", acceptance_motion())
-    formats.save_noise_spec(FIXTURES / "acceptance_noise.json", acceptance_noise())
+def main(out_dir=FIXTURES):
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    formats.save_motion_spec(out / "motion_demo.json", motion_demo())
+    formats.save_noise_spec(out / "noise_demo.json", noise_demo())
+    formats.save_motion_spec(out / "acceptance_motion.json", acceptance_motion())
+    formats.save_noise_spec(out / "acceptance_noise.json", acceptance_noise())
 
     seq = small_sequence()
-    formats.save_sequence(FIXTURES / "sequence_small.json", seq)
+    formats.save_sequence(out / "sequence_small.json", seq)
 
     refined, report = hs.smooth(
         seq.init,
@@ -121,14 +123,14 @@ def main():
     report.final_metrics = hs.evaluate(
         refined, seq.ground_truth, seq.observations, seq.skeleton
     ).to_dict()
-    report.save(FIXTURES / "loss_report.json")
+    report.save(out / "loss_report.json")
 
     metric = hs.evaluate(seq.init, seq.ground_truth, seq.observations, seq.skeleton)
-    formats.dump_json(metric.to_dict(), FIXTURES / "metric_report.json")
+    formats.dump_json(metric.to_dict(), out / "metric_report.json")
 
-    for p in sorted(FIXTURES.iterdir()):
-        print(f"wrote {p.relative_to(ROOT)} ({p.stat().st_size} bytes)")
+    for p in sorted(out.iterdir()):
+        print(f"wrote {p} ({p.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])
