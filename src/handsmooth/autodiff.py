@@ -1,16 +1,32 @@
 """Reverse-mode automatic differentiation on an explicit recording tape.
 
-Values are float64 numpy arrays (scalars are 0-d arrays). Every operation on
-a :class:`Tensor` appends one node to the evaluation's :class:`Tape`; tape
-order is a valid topological order, so a single reverse sweep yields exact
-gradients of a scalar output with respect to the leaf parameter vector.
+Values are float64 numpy arrays (scalars are 0-d arrays). Each primitive
+(:func:`add`, :func:`sub`, :func:`mul`, :func:`div`, :func:`neg`,
+:func:`matmul`, :func:`sin`, :func:`cos`, :func:`exp`, :func:`sqrt`,
+:func:`abs_smooth`, :func:`reshape`, :func:`sum`, :func:`getitem`,
+:func:`stack`, :func:`concat`) is defined once, as a module function. It
+computes its value with numpy on the plain values of its operands and passes
+that value to ``_record``:
 
-The module-level helpers (:func:`sin`, :func:`sqrt`, :func:`stack`, ...)
-accept either a Tensor or plain numpy data and return the matching kind.
-Numerical code written against them runs tape-free at raw numpy speed when
-given arrays, which is what the central-difference checker uses, and records
-when given Tensors. Both paths execute the same numpy calls in the same
-order, so values agree bitwise.
+* when no operand is a :class:`Tensor`, ``_record`` returns the plain value,
+  so numerical code written against these functions runs tape-free at numpy
+  speed on arrays, which is what the central-difference checker uses;
+* otherwise ``_record`` checks that every Tensor operand is on one
+  :class:`Tape` and appends a node: a Tensor holding the value, the op's
+  module-level VJP function, the operand tuple and a small ``ctx``.
+
+Both paths compute the value with the same expression, so they agree bitwise.
+The Tensor operators (``+ - * / @``, unary ``-`` and indexing, reflected
+forms included) delegate to the same functions.
+
+``vjp(g, node, i)`` returns the gradient of operand ``i`` given the gradient
+``g`` of the node's value. Tape order is a valid topological order, so one
+reverse sweep, which calls the VJP for Tensor operands only and sums away
+broadcast axes, yields exact gradients of a scalar output with respect to the
+leaf parameter vector. Each node points back at its tape, so
+:func:`record_and_backprop` empties the tape when the sweep ends (or the
+objective raises): its nodes are then freed by reference counting, without
+waiting for the cyclic garbage collector.
 
 Indexing supports basic numpy indexing only (ints, slices, ellipsis); the
 gradient scatter assumes non-overlapping selections.
@@ -18,6 +34,7 @@ gradient scatter assumes non-overlapping selections.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Tuple
 
 import numpy as np
@@ -38,49 +55,26 @@ class Tape:
         self.nodes = []
 
 
-def _val(x):
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=float)
-
-
-def _accum(t, g):
-    t.grad = g if t.grad is None else t.grad + g
-
-
-def _unbroadcast(g, shape):
-    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _tape_of(a, b=None):
-    ta = a.tape if isinstance(a, Tensor) else None
-    tb = b.tape if isinstance(b, Tensor) else None
-    if ta is not None and tb is not None and ta is not tb:
-        raise ValueError("operands were recorded on different tapes")
-    return ta if ta is not None else tb
-
-
 class Tensor:
-    """A value on a tape. Do not mutate ``value`` after construction."""
+    """A value on a tape, and the node that recorded it.
 
-    __slots__ = ("value", "tape", "grad", "_backward")
+    A leaf has no ``vjp`` and no ``inputs``. Do not mutate ``value`` after
+    construction.
+    """
+
+    __slots__ = ("value", "tape", "grad", "vjp", "inputs", "ctx")
 
     # Keep numpy from absorbing Tensor operands into object arrays; binary
     # ops with an ndarray on the left then fall through to our reflected ops.
     __array_ufunc__ = None
 
-    def __init__(self, value, tape):
+    def __init__(self, value, tape, vjp=None, inputs=(), ctx=None):
         self.value = np.asarray(value, dtype=float)
         self.tape = tape
         self.grad = None
-        self._backward = None
+        self.vjp = vjp
+        self.inputs = inputs
+        self.ctx = ctx
         tape.nodes.append(self)
 
     @property
@@ -98,114 +92,29 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 
-    # ----- arithmetic -----
-
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self, other
+        return add(self, other)
 
-            def backward(g):
-                _accum(a, _unbroadcast(g, a.value.shape))
-                _accum(b, _unbroadcast(g, b.value.shape))
-
-            return _make(_tape_of(a, b), a.value + b.value, backward)
-        c = np.asarray(other, dtype=float)
-        a = self
-
-        def backward(g):
-            _accum(a, _unbroadcast(g, a.value.shape))
-
-        return _make(a.tape, a.value + c, backward)
-
-    __radd__ = __add__
+    def __radd__(self, other):
+        return add(other, self)
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self, other
-
-            def backward(g):
-                _accum(a, _unbroadcast(g, a.value.shape))
-                _accum(b, _unbroadcast(-g, b.value.shape))
-
-            return _make(_tape_of(a, b), a.value - b.value, backward)
-        c = np.asarray(other, dtype=float)
-        a = self
-
-        def backward(g):
-            _accum(a, _unbroadcast(g, a.value.shape))
-
-        return _make(a.tape, a.value - c, backward)
+        return sub(self, other)
 
     def __rsub__(self, other):
-        c = np.asarray(other, dtype=float)
-        a = self
-
-        def backward(g):
-            _accum(a, _unbroadcast(-g, a.value.shape))
-
-        return _make(a.tape, c - a.value, backward)
-
-    def __neg__(self):
-        a = self
-
-        def backward(g):
-            _accum(a, -g)
-
-        return _make(a.tape, -a.value, backward)
+        return sub(other, self)
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self, other
-            av, bv = a.value, b.value
+        return mul(self, other)
 
-            def backward(g):
-                _accum(a, _unbroadcast(g * bv, av.shape))
-                _accum(b, _unbroadcast(g * av, bv.shape))
-
-            return _make(_tape_of(a, b), av * bv, backward)
-        c = np.asarray(other, dtype=float)
-        a = self
-        av = a.value
-
-        def backward(g):
-            _accum(a, _unbroadcast(g * c, av.shape))
-
-        return _make(a.tape, av * c, backward)
-
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return mul(other, self)
 
     def __truediv__(self, other):
-        bv = _val(other)
-        if np.any(bv == 0.0):
-            raise AutodiffDomainError("div", "zero denominator")
-        if isinstance(other, Tensor):
-            a, b = self, other
-            av = a.value
-
-            def backward(g):
-                _accum(a, _unbroadcast(g / bv, av.shape))
-                _accum(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
-
-            return _make(_tape_of(a, b), av / bv, backward)
-        a = self
-        av = a.value
-
-        def backward(g):
-            _accum(a, _unbroadcast(g / bv, av.shape))
-
-        return _make(a.tape, av / bv, backward)
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        a = self
-        av = a.value
-        if np.any(av == 0.0):
-            raise AutodiffDomainError("div", "zero denominator")
-        c = np.asarray(other, dtype=float)
-
-        def backward(g):
-            _accum(a, _unbroadcast(-g * c / (av * av), av.shape))
-
-        return _make(a.tape, c / av, backward)
+        return div(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -213,100 +122,11 @@ class Tensor:
     def __rmatmul__(self, other):
         return matmul(other, self)
 
-    # ----- elementwise functions -----
-
-    def sin(self):
-        a = self
-        av = a.value
-
-        def backward(g):
-            _accum(a, g * np.cos(av))
-
-        return _make(a.tape, np.sin(av), backward)
-
-    def cos(self):
-        a = self
-        av = a.value
-
-        def backward(g):
-            _accum(a, -g * np.sin(av))
-
-        return _make(a.tape, np.cos(av), backward)
-
-    def exp(self):
-        a = self
-        out_val = np.exp(a.value)
-
-        def backward(g):
-            _accum(a, g * out_val)
-
-        return _make(a.tape, out_val, backward)
-
-    def sqrt(self):
-        a = self
-        if np.any(a.value < 0.0):
-            raise AutodiffDomainError("sqrt", "negative operand")
-        out_val = np.sqrt(a.value)
-
-        def backward(g):
-            # derivative is unbounded at 0; callers pad with a positive delta
-            _accum(a, g * (0.5 / out_val))
-
-        return _make(a.tape, out_val, backward)
-
-    def abs_smooth(self, delta=ABS_SMOOTH_DELTA):
-        a = self
-        av = a.value
-        root = np.sqrt(av * av + delta * delta)
-
-        def backward(g):
-            _accum(a, g * (av / root))
-
-        return _make(a.tape, root - delta, backward)
-
-    # ----- structure -----
-
-    def sum(self, axis=None, keepdims=False):
-        a = self
-        av = a.value
-        out_val = av.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            _accum(a, np.broadcast_to(gg, av.shape))
-
-        return _make(a.tape, out_val, backward)
-
-    def reshape(self, shape):
-        a = self
-        av = a.value
-
-        def backward(g):
-            _accum(a, g.reshape(av.shape))
-
-        return _make(a.tape, av.reshape(shape), backward)
+    def __neg__(self):
+        return neg(self)
 
     def __getitem__(self, idx):
-        a = self
-        av = a.value
-
-        def backward(g):
-            buf = np.zeros_like(av)
-            buf[idx] += g
-            _accum(a, buf)
-
-        return _make(a.tape, av[idx], backward)
-
-
-def _make(tape, value, backward):
-    out = Tensor(value, tape)
-    out._backward = backward
-    return out
-
-
-# ----- dispatch helpers: Tensor in, Tensor out; array in, array out -----
+        return getitem(self, idx)
 
 
 def value_of(x):
@@ -321,130 +141,196 @@ def readonly(a, dtype=float):
     return a
 
 
-def sin(x):
-    return x.sin() if isinstance(x, Tensor) else np.sin(x)
+def _record(value, vjp, inputs, ctx=None):
+    """``value`` itself when no input is a Tensor, else a new node for it."""
+    tape = None
+    for x in inputs:
+        if isinstance(x, Tensor):
+            if tape is None:
+                tape = x.tape
+            elif x.tape is not tape:
+                raise ValueError("operands were recorded on different tapes")
+    if tape is None:
+        return value
+    return Tensor(value, tape, vjp, inputs, ctx)
 
 
-def cos(x):
-    return x.cos() if isinstance(x, Tensor) else np.cos(x)
+def _unbroadcast(g, shape):
+    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
 
 
-def exp(x):
-    return x.exp() if isinstance(x, Tensor) else np.exp(x)
+# ----- primitives: plain operands in, plain value out; Tensor in, Tensor out -----
 
 
-def sqrt(x):
-    if isinstance(x, Tensor):
-        return x.sqrt()
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise AutodiffDomainError("sqrt", "negative operand")
-    return np.sqrt(x)
+def add(a, b):
+    return _record(value_of(a) + value_of(b), _add_vjp, (a, b))
 
 
-def abs_smooth(x, delta=ABS_SMOOTH_DELTA):
-    """Smoothed absolute value sqrt(x^2 + delta^2) - delta."""
-    if isinstance(x, Tensor):
-        return x.abs_smooth(delta)
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(x * x + delta * delta) - delta
+def _add_vjp(g, node, i):
+    return g
 
 
-def reshape(x, shape):
-    return x.reshape(shape) if isinstance(x, Tensor) else np.reshape(x, shape)
+def sub(a, b):
+    return _record(value_of(a) - value_of(b), _sub_vjp, (a, b))
 
 
-def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name
-    if isinstance(x, Tensor):
-        return x.sum(axis=axis, keepdims=keepdims)
-    return np.asarray(x, dtype=float).sum(axis=axis, keepdims=keepdims)
+def _sub_vjp(g, node, i):
+    return -g if i else g
 
 
-def mean(x, axis=None):
-    v = value_of(x)
-    if axis is None:
-        n = v.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= v.shape[ax]
-    return sum(x, axis=axis) / float(n)
+def neg(x):
+    return _record(-value_of(x), _neg_vjp, (x,))
 
 
-def norm_smooth(x, axis=None, delta=ABS_SMOOTH_DELTA):
-    """Smoothed Euclidean norm sqrt(sum(x^2) + delta^2) - delta.
+def _neg_vjp(g, node, i):
+    return -g
 
-    Exact to within delta, and differentiable at the origin.
-    """
-    s = sum(x * x, axis=axis)
-    return sqrt(s + delta * delta) - delta
+
+def mul(a, b):
+    return _record(value_of(a) * value_of(b), _mul_vjp, (a, b))
+
+
+def _mul_vjp(g, node, i):
+    return g * value_of(node.inputs[1 - i])
+
+
+def div(a, b):
+    bv = value_of(b)
+    if np.any(bv == 0.0):
+        raise AutodiffDomainError("div", "zero denominator")
+    return _record(value_of(a) / bv, _div_vjp, (a, b))
+
+
+def _div_vjp(g, node, i):
+    a, b = node.inputs
+    bv = value_of(b)
+    return -g * value_of(a) / (bv * bv) if i else g / bv
 
 
 def matmul(a, b):
     """Matrix product with broadcast leading batch dims; operands ndim >= 2."""
-    av, bv = _val(a), _val(b)
+    av, bv = value_of(a), value_of(b)
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    out_val = av @ bv
-    ta = a if isinstance(a, Tensor) else None
-    tb = b if isinstance(b, Tensor) else None
-    if ta is None and tb is None:
-        return out_val
-    tape = _tape_of(a if ta is not None else b, b if ta is not None else None)
+    return _record(av @ bv, _matmul_vjp, (a, b))
 
-    def backward(g):
-        if ta is not None:
-            _accum(ta, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-        if tb is not None:
-            _accum(tb, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
-    return _make(tape, out_val, backward)
+def _matmul_vjp(g, node, i):
+    a, b = node.inputs
+    if i:
+        return np.swapaxes(value_of(a), -1, -2) @ g
+    return g @ np.swapaxes(value_of(b), -1, -2)
+
+
+def sin(x):
+    return _record(np.sin(value_of(x)), _sin_vjp, (x,))
+
+
+def _sin_vjp(g, node, i):
+    return g * np.cos(node.inputs[0].value)
+
+
+def cos(x):
+    return _record(np.cos(value_of(x)), _cos_vjp, (x,))
+
+
+def _cos_vjp(g, node, i):
+    return -g * np.sin(node.inputs[0].value)
+
+
+def exp(x):
+    return _record(np.exp(value_of(x)), _exp_vjp, (x,))
+
+
+def _exp_vjp(g, node, i):
+    return g * node.value
+
+
+def sqrt(x):
+    v = value_of(x)
+    if np.any(v < 0.0):
+        raise AutodiffDomainError("sqrt", "negative operand")
+    return _record(np.sqrt(v), _sqrt_vjp, (x,))
+
+
+def _sqrt_vjp(g, node, i):
+    # derivative is unbounded at 0; callers pad with a positive delta
+    return g * (0.5 / node.value)
+
+
+def abs_smooth(x, delta=ABS_SMOOTH_DELTA):
+    """Smoothed absolute value sqrt(x^2 + delta^2) - delta."""
+    v = value_of(x)
+    root = np.sqrt(v * v + delta * delta)
+    return _record(root - delta, _abs_smooth_vjp, (x,), root)
+
+
+def _abs_smooth_vjp(g, node, i):
+    return g * (node.inputs[0].value / node.ctx)
+
+
+def reshape(x, shape):
+    return _record(np.reshape(value_of(x), shape), _reshape_vjp, (x,))
+
+
+def _reshape_vjp(g, node, i):
+    return g.reshape(node.inputs[0].value.shape)
+
+
+def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name
+    value = value_of(x).sum(axis=axis, keepdims=keepdims)
+    return _record(value, _sum_vjp, (x,), (axis, keepdims))
+
+
+def _sum_vjp(g, node, i):
+    axis, keepdims = node.ctx
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, node.inputs[0].value.shape)
+
+
+def mean(x):
+    return sum(x) / float(value_of(x).size)
+
+
+def getitem(x, idx):
+    return _record(value_of(x)[idx], _getitem_vjp, (x,), idx)
+
+
+def _getitem_vjp(g, node, i):
+    buf = np.zeros_like(node.inputs[0].value)
+    buf[node.ctx] += g
+    return buf
 
 
 def stack(parts, axis=0):
-    vals = [_val(p) for p in parts]
-    out_val = np.stack(vals, axis=axis)
-    tensors = [(i, p) for i, p in enumerate(parts) if isinstance(p, Tensor)]
-    if not tensors:
-        return out_val
-    tape = tensors[0][1].tape
-    for _, p in tensors[1:]:
-        if p.tape is not tape:
-            raise ValueError("operands were recorded on different tapes")
-    ax = axis if axis >= 0 else out_val.ndim + axis
-
-    def backward(g):
-        base = [slice(None)] * g.ndim
-        for i, p in tensors:
-            idx = list(base)
-            idx[ax] = i
-            _accum(p, g[tuple(idx)])
-
-    return _make(tape, out_val, backward)
+    value = np.stack([value_of(p) for p in parts], axis=axis)
+    return _record(value, _join_vjp, tuple(parts), (axis % value.ndim, range(len(parts))))
 
 
 def concat(parts, axis=0):
-    vals = [_val(p) for p in parts]
-    out_val = np.concatenate(vals, axis=axis)
-    tensors = [(i, p) for i, p in enumerate(parts) if isinstance(p, Tensor)]
-    if not tensors:
-        return out_val
-    tape = tensors[0][1].tape
-    for _, p in tensors[1:]:
-        if p.tape is not tape:
-            raise ValueError("operands were recorded on different tapes")
-    ax = axis if axis >= 0 else out_val.ndim + axis
-    offsets = np.cumsum([0] + [v.shape[ax] for v in vals])
+    vals = [value_of(p) for p in parts]
+    value = np.concatenate(vals, axis=axis)
+    ax = axis % value.ndim
+    ends = accumulate(v.shape[ax] for v in vals)
+    keys = [slice(end - v.shape[ax], end) for end, v in zip(ends, vals)]
+    return _record(value, _join_vjp, tuple(parts), (ax, keys))
 
-    def backward(g):
-        base = [slice(None)] * g.ndim
-        for i, p in tensors:
-            idx = list(base)
-            idx[ax] = slice(offsets[i], offsets[i + 1])
-            _accum(p, g[tuple(idx)])
 
-    return _make(tape, out_val, backward)
+def _join_vjp(g, node, i):
+    """Shared by stack and concat: ctx is (axis, the index or slice of each
+    part along that axis of the output)."""
+    ax, keys = node.ctx
+    return g[(slice(None),) * ax + (keys[i],)]
 
 
 # ----- entry points -----
@@ -463,29 +349,33 @@ def record_and_backprop(
 
     Returns:
         (loss, grad) with ``grad[i] = d loss / d params[i]``. Re-running at
-        the same params produces bitwise-identical results.
+        the same params produces bitwise-identical results. The tape is
+        emptied before returning or raising.
     """
     params = np.asarray(params, dtype=float)
     tape = Tape()
-    leaf = Tensor(params.copy(), tape)
-    out = objective(leaf)
-    if not isinstance(out, Tensor):
-        raise TypeError(f"objective must return a tape value, got {type(out)!r}")
-    if out.value.size != 1:
-        raise ValueError("objective must be scalar-valued")
-    out.grad = np.ones_like(out.value)
-    for node in reversed(tape.nodes):
-        if node.grad is not None and node._backward is not None:
-            node._backward(node.grad)
-    loss = float(out.value)
+    try:
+        leaf = Tensor(params.copy(), tape)
+        out = objective(leaf)
+        if not isinstance(out, Tensor):
+            raise TypeError(f"objective must return a tape value, got {type(out)!r}")
+        if out.value.size != 1:
+            raise ValueError("objective must be scalar-valued")
+        out.grad = np.ones_like(out.value)
+        for node in reversed(tape.nodes):
+            g = node.grad
+            if g is None:
+                continue
+            for i, x in enumerate(node.inputs):
+                if isinstance(x, Tensor):
+                    gx = _unbroadcast(node.vjp(g, node, i), x.value.shape)
+                    x.grad = gx if x.grad is None else x.grad + gx
+    finally:
+        tape.nodes.clear()
     grad = leaf.grad
     if grad is None:
         grad = np.zeros_like(params)
-    return loss, np.asarray(grad, dtype=float).reshape(params.shape)
-
-
-def _scalar(out):
-    return float(out.value) if isinstance(out, Tensor) else float(out)
+    return float(out.value), np.asarray(grad, dtype=float).reshape(params.shape)
 
 
 def check_gradient(objective: Callable, params: np.ndarray, h: float = 1e-6) -> float:
@@ -504,9 +394,9 @@ def check_gradient(objective: Callable, params: np.ndarray, h: float = 1e-6) -> 
     for i in range(work.size):
         orig = work.flat[i]
         work.flat[i] = orig + h
-        f_hi = _scalar(objective(work))
+        f_hi = float(value_of(objective(work)))
         work.flat[i] = orig - h
-        f_lo = _scalar(objective(work))
+        f_lo = float(value_of(objective(work)))
         work.flat[i] = orig
         grad_fd.flat[i] = (f_hi - f_lo) / (2.0 * h)
     err = np.abs(grad_ad - grad_fd) / np.maximum(1.0, np.abs(grad_fd))

@@ -180,7 +180,10 @@ def _resolve_skeleton(ref, where: str) -> HandSkeleton:
         except ModelFileError as e:
             raise SchemaError(f"{where}.model: {e}") from e
     if "inline" in ref:
-        return skeleton_from_dict(ref["inline"])
+        try:
+            return skeleton_from_dict(ref["inline"])
+        except ModelFileError as e:
+            raise SchemaError(f"{where}.inline: {e}") from e
     raise SchemaError(f"{where}: unknown skeleton reference {sorted(ref)}")
 
 

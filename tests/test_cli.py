@@ -8,6 +8,7 @@ import pytest
 import handsmooth as hs
 from handsmooth.cli import main
 from handsmooth.formats import read_json
+from handsmooth.hand_model import default_model_dict
 
 from conftest import constant_velocity_motion
 
@@ -179,6 +180,8 @@ class TestEval:
         [
             (lambda d: d["init"].update(joint_rotations=0.5), "init"),
             (lambda d: d["rig"]["views"][0]["intrinsics"].update(width=1e300), "rig.views[0]"),
+            (lambda d: d.update(skeleton={"inline": dict(default_model_dict(), rest_offsets="x")}),
+             "skeleton.inline"),
         ],
     )
     def test_malformed_sequence_exits_1(self, fixtures_dir, tmp_path, capsys, mutate, where):

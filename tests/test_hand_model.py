@@ -12,8 +12,10 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import handsmooth as hs
+import handsmooth.autodiff as ad
 from handsmooth.errors import ModelFileError
 from handsmooth.hand_model import (
+    SMALL_ANGLE_SQ,
     axis_angle_to_matrix,
     canonicalize_axis_angle,
     default_model_dict,
@@ -104,6 +106,26 @@ class TestRotations:
             axis_angle_to_matrix(np.zeros(4))
         with pytest.raises(ValueError):
             axis_angle_to_matrix(np.array([np.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "theta, series",
+        [
+            (0.0, True),
+            (0.999e-8, True),  # just below the series switch at 1e-8 rad
+            (1.001e-8, False),  # just above it
+            (np.pi - 1e-7, False),
+            (-(np.pi - 1e-7), False),
+        ],
+    )
+    def test_gradient_at_angle_edges(self, theta, series):
+        axis = np.array([1.0, 2.0, 2.0]) / 3.0
+        assert ((theta * theta) < SMALL_ANGLE_SQ) == series
+        weights = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
+
+        def fn(p):
+            return ad.sum(rotation_matrices(ad.reshape(p, (1, 3))) * weights)
+
+        assert ad.check_gradient(fn, theta * axis) < 1e-9
 
 
 class TestCanonicalize:
