@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     SpecError,
 )
 from .hand_model import DEFAULT_MODEL, load_skeleton
-from .objective import MIN_FRAMES, REPROJECTION_NORMS, LossWeights, SequenceObservation
+from .objective import MIN_FRAMES, REPROJECTION_NORMS, LossWeights
 
 log = logging.getLogger(__name__)
 
@@ -124,14 +125,7 @@ def cmd_smooth(args) -> int:
         report.final_metrics = metrics.evaluate(
             refined, seq.ground_truth, seq.observations, seq.skeleton, args.norm
         ).to_dict()
-    out_seq = formats.SequenceFile(
-        skeleton=seq.skeleton,
-        skeleton_ref=seq.skeleton_ref,
-        init=refined,
-        observations=seq.observations,
-        ground_truth=seq.ground_truth,
-    )
-    formats.save_sequence(args.output, out_seq)
+    formats.save_sequence(args.output, replace(seq, init=refined))
     if args.report:
         report.save(args.report)
     first = report.entries[0].total
@@ -174,19 +168,8 @@ def cmd_perturb(args) -> int:
         (intr, cam.perturb_extrinsics(extr, rng, args.range))
         for intr, extr in seq.rig.views
     )
-    obs = SequenceObservation(
-        landmarks_2d=seq.observations.landmarks_2d,
-        visibility=seq.observations.visibility,
-        rig=cam.CameraRig(views=views),
-    )
-    out_seq = formats.SequenceFile(
-        skeleton=seq.skeleton,
-        skeleton_ref=seq.skeleton_ref,
-        init=seq.init,
-        observations=obs,
-        ground_truth=seq.ground_truth,
-    )
-    formats.save_sequence(args.output, out_seq)
+    obs = replace(seq.observations, rig=cam.CameraRig(views=views))
+    formats.save_sequence(args.output, replace(seq, observations=obs))
     print(
         f"wrote {args.output}: camera translations perturbed within "
         f"(-{args.range}, {args.range}) m, seed {args.seed}"

@@ -39,7 +39,7 @@ def read_json(path) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise SchemaError(f"{path}: not valid JSON ({e})") from e
 
 
@@ -247,14 +247,18 @@ def save_motion_spec(path, spec: MotionSpec) -> None:
     dump_json(spec.to_dict(), path)
 
 
-def load_motion_spec(path) -> MotionSpec:
+def _load_spec(path, cls):
     d = read_json(path)
+    if not isinstance(d, dict):
+        raise SchemaError(f"{path}: expected an object")
     try:
-        return MotionSpec.from_dict(d)
+        return cls.from_dict(d)
     except SchemaError as e:
         raise SchemaError(f"{path}: {e}") from e
-    except ValueError as e:
-        raise SchemaError(f"{path}: invalid motion spec: {e}") from e
+
+
+def load_motion_spec(path) -> MotionSpec:
+    return _load_spec(path, MotionSpec)
 
 
 def save_noise_spec(path, spec: NoiseSpec) -> None:
@@ -262,13 +266,7 @@ def save_noise_spec(path, spec: NoiseSpec) -> None:
 
 
 def load_noise_spec(path) -> NoiseSpec:
-    d = read_json(path)
-    try:
-        return NoiseSpec.from_dict(d)
-    except SchemaError as e:
-        raise SchemaError(f"{path}: {e}") from e
-    except ValueError as e:
-        raise SchemaError(f"{path}: invalid noise spec: {e}") from e
+    return _load_spec(path, NoiseSpec)
 
 
 def save_model_file(path, skeleton: HandSkeleton) -> None:

@@ -108,60 +108,6 @@ class HandSkeleton:
         return self._articulated
 
 
-@dataclass(frozen=True)
-class ShapeParams:
-    """Low-dimensional hand shape coefficients, shared across a sequence."""
-
-    beta: np.ndarray  # (10,)
-
-    def __post_init__(self):
-        beta = ad.readonly(self.beta)
-        if beta.shape != (NUM_SHAPE_PARAMS,):
-            raise ValueError("beta must have shape (10,)")
-        if not np.all(np.isfinite(beta)):
-            raise ValueError("beta must be finite")
-        object.__setattr__(self, "beta", beta)
-
-    @classmethod
-    def zeros(cls) -> "ShapeParams":
-        return cls(np.zeros(NUM_SHAPE_PARAMS))
-
-
-@dataclass(frozen=True)
-class FramePose:
-    """One frame of hand state: wrist placement plus articulated rotations.
-
-    ``joint_rotations[k]`` is the axis-angle rotation of
-    ``skeleton.articulated_joints[k]`` relative to its parent.
-    """
-
-    global_orient: np.ndarray    # (3,) axis-angle, radians
-    position: np.ndarray         # (3,) wrist position, meters
-    joint_rotations: np.ndarray  # (15, 3) axis-angle per articulated joint
-
-    def __post_init__(self):
-        orient = ad.readonly(self.global_orient)
-        position = ad.readonly(self.position)
-        rots = ad.readonly(self.joint_rotations)
-        if orient.shape != (3,) or position.shape != (3,):
-            raise ValueError("global_orient and position must have shape (3,)")
-        if rots.shape != (NUM_ARTICULATED, 3):
-            raise ValueError("joint_rotations must have shape (15, 3)")
-        if not (
-            np.all(np.isfinite(orient))
-            and np.all(np.isfinite(position))
-            and np.all(np.isfinite(rots))
-        ):
-            raise ValueError("pose values must be finite")
-        object.__setattr__(self, "global_orient", orient)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "joint_rotations", rots)
-
-    @classmethod
-    def identity(cls) -> "FramePose":
-        return cls(np.zeros(3), np.zeros(3), np.zeros((NUM_ARTICULATED, 3)))
-
-
 def canonicalize_axis_angle(aa: np.ndarray) -> np.ndarray:
     """Wrap axis-angle magnitudes into (-pi, pi]; the rotation is unchanged."""
     aa = np.asarray(aa, dtype=float)
@@ -213,16 +159,6 @@ def rotation_matrices(aa):
     return eye + a_m * k + b_m * (outer - t2_m * eye)
 
 
-def axis_angle_to_matrix(aa: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a single axis-angle vector."""
-    aa = np.asarray(aa, dtype=float)
-    if aa.shape != (3,):
-        raise ValueError("axis-angle must have shape (3,)")
-    if not np.all(np.isfinite(aa)):
-        raise ValueError("axis-angle must be finite")
-    return rotation_matrices(aa[np.newaxis, :])[0]
-
-
 def bone_scales(skeleton: HandSkeleton, beta):
     """Per-joint offset scale factors exp(shape_basis @ beta); generic over tapes."""
     return ad.exp(ad.sum(skeleton.shape_basis * beta, axis=-1))
@@ -251,20 +187,6 @@ def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations)
         if j in slot:
             world_rot[j] = ad.matmul(rp, rots[:, slot[j]])
     return ad.stack([world_pos[j] for j in range(NUM_JOINTS)], axis=1)
-
-
-def forward_kinematics(
-    skeleton: HandSkeleton, shape: ShapeParams, pose: FramePose
-) -> np.ndarray:
-    """World positions of all 21 joints for one frame, shape (21, 3)."""
-    joints = fk_joints(
-        skeleton,
-        shape.beta,
-        pose.global_orient[np.newaxis],
-        pose.position[np.newaxis],
-        pose.joint_rotations[np.newaxis],
-    )
-    return np.asarray(joints)[0]
 
 
 # ----- model file -----

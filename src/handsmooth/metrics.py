@@ -22,6 +22,17 @@ from .objective import (
 MM_PER_M = 1000.0
 
 
+def _joint_errors_mm(pred_joints, gt_joints):
+    """Per-joint position error in millimeters, shape (N, J)."""
+    return np.linalg.norm(pred_joints - gt_joints, axis=-1) * MM_PER_M
+
+
+def _frame_accels_mm(joints):
+    """Per-frame mean norm of the joints' second difference in mm, shape (N - 2,)."""
+    d2 = joints[2:] - 2.0 * joints[1:-1] + joints[:-2]
+    return np.linalg.norm(d2, axis=-1).mean(axis=-1) * MM_PER_M
+
+
 def mpjpe(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
     """Mean per-joint position error in millimeters, no alignment.
 
@@ -31,8 +42,7 @@ def mpjpe(pred_joints: np.ndarray, gt_joints: np.ndarray) -> float:
     gt_joints = np.asarray(gt_joints, dtype=float)
     if pred_joints.shape != gt_joints.shape or pred_joints.ndim != 3:
         raise ValueError("joint arrays must have matching (N, J, 3) shapes")
-    dist = np.linalg.norm(pred_joints - gt_joints, axis=-1)
-    return float(dist.mean() * MM_PER_M)
+    return float(_joint_errors_mm(pred_joints, gt_joints).mean())
 
 
 def acceleration_error(joints: np.ndarray) -> float:
@@ -40,8 +50,7 @@ def acceleration_error(joints: np.ndarray) -> float:
     joints = np.asarray(joints, dtype=float)
     if joints.ndim != 3 or joints.shape[0] < 3:
         raise ValueError("need an (N, J, 3) array with N >= 3")
-    d2 = joints[2:] - 2.0 * joints[1:-1] + joints[:-2]
-    return float(np.linalg.norm(d2, axis=-1).mean() * MM_PER_M)
+    return float(_frame_accels_mm(joints).mean())
 
 
 def reprojection_px(
@@ -122,13 +131,11 @@ def evaluate(
 ) -> MetricReport:
     """All metrics for a trajectory; position error needs ground truth."""
     joints = trajectory_joints(refined, skeleton)
-    d2 = joints[2:] - 2.0 * joints[1:-1] + joints[:-2]
-    per_frame_accel = np.linalg.norm(d2, axis=-1).mean(axis=-1) * MM_PER_M
+    per_frame_accel = _frame_accels_mm(joints)
     mpjpe_mm = None
     per_frame_mpjpe = None
     if gt is not None:
-        gt_joints = trajectory_joints(gt, skeleton)
-        dist = np.linalg.norm(joints - gt_joints, axis=-1) * MM_PER_M
+        dist = _joint_errors_mm(joints, trajectory_joints(gt, skeleton))
         per_frame_mpjpe = dist.mean(axis=-1)
         mpjpe_mm = float(dist.mean())
     return MetricReport(

@@ -18,7 +18,6 @@ from .errors import DegenerateObservationError
 from .hand_model import (
     NUM_ARTICULATED,
     NUM_SHAPE_PARAMS,
-    FramePose,
     HandSkeleton,
     fk_joints,
 )
@@ -49,6 +48,19 @@ class LossWeights:
             raise ValueError("loss weights must be finite")
         if any(v < 0 for v in vals):
             raise ValueError("loss weights must be >= 0")
+
+
+def _split_flat(vec, num_frames: int):
+    """The (shape, orients, positions, joint_rotations) parts of a flat
+    vector, Tensor or array, in the layout of ``TrajectoryParams.to_flat``."""
+    shape = vec[:NUM_SHAPE_PARAMS]
+    frames = ad.reshape(vec[NUM_SHAPE_PARAMS:], (num_frames, FRAME_PARAMS))
+    return (
+        shape,
+        frames[:, 0:3],
+        frames[:, 3:6],
+        ad.reshape(frames[:, 6:51], (num_frames, NUM_ARTICULATED, 3)),
+    )
 
 
 @dataclass(frozen=True)
@@ -91,9 +103,6 @@ class TrajectoryParams:
     def num_frames(self) -> int:
         return self.orients.shape[0]
 
-    def frame(self, t: int) -> FramePose:
-        return FramePose(self.orients[t], self.positions[t], self.joint_rotations[t])
-
     def to_flat(self) -> np.ndarray:
         n = self.num_frames
         frames = np.concatenate(
@@ -107,13 +116,7 @@ class TrajectoryParams:
         expected = NUM_SHAPE_PARAMS + FRAME_PARAMS * num_frames
         if vec.shape != (expected,):
             raise ValueError(f"flat vector must have length {expected}")
-        frames = vec[NUM_SHAPE_PARAMS:].reshape(num_frames, FRAME_PARAMS)
-        return cls(
-            shape=vec[:NUM_SHAPE_PARAMS],
-            orients=frames[:, 0:3],
-            positions=frames[:, 3:6],
-            joint_rotations=frames[:, 6:51].reshape(num_frames, NUM_ARTICULATED, 3),
-        )
+        return cls(*_split_flat(vec, num_frames))
 
     def to_dict(self) -> dict:
         return {
@@ -323,14 +326,7 @@ def make_flat_objective(
     n = obs.num_frames
 
     def objective(vec):
-        shape_vec = vec[:NUM_SHAPE_PARAMS]
-        frames = ad.reshape(vec[NUM_SHAPE_PARAMS:], (n, FRAME_PARAMS))
-        orients = frames[:, 0:3]
-        positions = frames[:, 3:6]
-        joint_rots = ad.reshape(frames[:, 6:51], (n, NUM_ARTICULATED, 3))
-        terms, total = _loss_terms(
-            shape_vec, orients, positions, joint_rots, obs, skeleton, weights, norm
-        )
+        terms, total = _loss_terms(*_split_flat(vec, n), obs, skeleton, weights, norm)
         if terms_out is not None:
             terms_out.update(_floats(terms))
         return total

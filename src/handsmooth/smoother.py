@@ -9,7 +9,6 @@ identical.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import AutodiffDomainError, DegenerateObservationError, DivergedError
+from .formats import dump_json
 from .hand_model import NUM_SHAPE_PARAMS, HandSkeleton
 from .objective import (
     REPROJECTION_NORMS,
@@ -143,12 +143,7 @@ class LossReport:
     def save(self, path: str):
         """Write JSON when the path ends in .json, CSV otherwise."""
         if str(path).endswith(".json"):
-            with open(path, "w") as fh:
-                json.dump(
-                    self.to_json_dict(), fh,
-                    indent=2, sort_keys=True, allow_nan=False,
-                )
-                fh.write("\n")
+            dump_json(self.to_json_dict(), path)
         else:
             with open(path, "w") as fh:
                 fh.write(self.to_csv_text())

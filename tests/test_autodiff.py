@@ -2,6 +2,7 @@
 and domain-error behavior."""
 
 import gc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,13 @@ def backprop(fn, x):
 X = np.array([[0.5, -1.5], [2.0, 0.25]])
 Y = np.array([[1.25, 0.75], [-0.5, 3.0]])
 P = np.array([[0.3, 1.7], [4.0, 0.01]])  # positive, for sqrt
+
+# (frames, views, seed, visibility entries hidden) of the full-objective gradient
+# check: one plain problem, then frame 2 invisible in every view, then view 1
+# seeing nothing
+FULL_OBJECTIVE_CASES = [(4, 2, 123, None)] + [
+    (5, 2, seed, hidden) for hidden in (np.s_[2], np.s_[:, 1]) for seed in range(3)
+]
 
 # (label, function, operands): the taped side makes each ndarray operand a
 # Tensor and passes Python scalars and closed-over arrays as they are.
@@ -285,7 +293,12 @@ class TestFiniteDifferenceAgreement:
     def test_full_objective_single_instance(self):
         import handsmooth as hs
 
-        traj, obs, skeleton = hs.random_problem(4, 2, seed=123)
-        objective = hs.make_flat_objective(obs, skeleton)
-        err = ad.check_gradient(objective, traj.to_flat())
-        assert err < 1e-4, f"max relative error {err:.3e}"
+        for frames, views, seed, hidden in FULL_OBJECTIVE_CASES:
+            traj, obs, skeleton = hs.random_problem(frames, views, seed)
+            if hidden is not None:
+                visibility = obs.visibility.copy()
+                visibility[hidden] = False
+                obs = replace(obs, visibility=visibility)
+            objective = hs.make_flat_objective(obs, skeleton)
+            err = ad.check_gradient(objective, traj.to_flat())
+            assert err < 1e-4, f"{seed=} {hidden=}: max relative error {err:.3e}"

@@ -67,6 +67,15 @@ class TestGenerate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_noise_file_exits_1(self, specs, tmp_path, capsys):
+        motion, _ = specs
+        noise = tmp_path / "noise.json"
+        for content in (b"[]", b"\xff\xfe{}", b"[" * 100_000):
+            noise.write_bytes(content)
+            code = main(["generate", str(motion), str(noise), str(tmp_path / "out.json")])
+            assert code == 1
+            assert capsys.readouterr().err.startswith(f"error: {noise}: ")
+
 
 class TestSmooth:
     def test_refines_and_writes_reports(self, fixtures_dir, tmp_path, capsys):

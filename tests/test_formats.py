@@ -65,9 +65,14 @@ class TestDumpJson:
 
     def test_read_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(SchemaError, match="not valid JSON"):
-            read_json(path)
+        for content in (
+            b"{not json",
+            b"\xff\xfe{}",  # a UTF-16 byte-order mark, not UTF-8
+            b"[" * 100_000,  # nests deeper than the decoder recurses
+        ):
+            path.write_bytes(content)
+            with pytest.raises(SchemaError, match="broken.json: not valid JSON"):
+                read_json(path)
 
 
 class TestFixturesLoad:
@@ -260,6 +265,13 @@ class TestSequenceSchemaErrors:
         path.write_text(json.dumps(d))
         with pytest.raises(SchemaError, match="spec.json"):
             load(path)
+
+    def test_non_object_spec(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("[]")
+        for load in (hs.load_motion_spec, hs.load_noise_spec):
+            with pytest.raises(SchemaError, match="spec.json: expected an object"):
+                load(path)
 
     def test_load_reports_file_path(self, tmp_path):
         path = tmp_path / "bad_sequence.json"

@@ -256,6 +256,22 @@ class TestTrajectoryParams:
                 joint_rotations=np.zeros((2, 15, 3)),
             )
 
+    def test_rejects_malformed_arrays(self):
+        good = dict(
+            shape=np.zeros(10),
+            orients=np.zeros((3, 3)),
+            positions=np.zeros((3, 3)),
+            joint_rotations=np.zeros((3, 15, 3)),
+        )
+        hs.TrajectoryParams(**good)
+        for field, value in [
+            ("orients", np.zeros((3, 2))),
+            ("joint_rotations", np.zeros((3, 14, 3))),
+            ("shape", np.zeros(11)),
+        ]:
+            with pytest.raises(ValueError):
+                hs.TrajectoryParams(**dict(good, **{field: value}))
+
     def test_dict_roundtrip(self):
         traj, _, _ = hs.random_problem(3, 1, seed=14)
         again = hs.TrajectoryParams.from_dict(traj.to_dict())
