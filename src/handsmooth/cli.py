@@ -119,12 +119,14 @@ def cmd_smooth(args) -> int:
             log.info("flushed partial report to %s", args.report)
         raise
     if seq.ground_truth is not None:
-        report.initial_metrics = metrics.evaluate(
-            seq.init, seq.ground_truth, seq.observations, seq.skeleton, args.norm
-        ).to_dict()
-        report.final_metrics = metrics.evaluate(
-            refined, seq.ground_truth, seq.observations, seq.skeleton, args.norm
-        ).to_dict()
+        report.initial_metrics, report.final_metrics = (
+            formats.record_to_dict(
+                metrics.evaluate(
+                    traj, seq.ground_truth, seq.observations, seq.skeleton, args.norm
+                )
+            )
+            for traj in (seq.init, refined)
+        )
     formats.save_sequence(args.output, replace(seq, init=refined))
     if args.report:
         report.save(args.report)
@@ -157,7 +159,7 @@ def cmd_eval(args) -> int:
     report = metrics.evaluate(seq.init, gt, seq.observations, seq.skeleton, args.norm)
     print(report.format_table())
     if args.json is not None:
-        formats.dump_json(report.to_dict(), args.json)
+        formats.dump_json(formats.record_to_dict(report), args.json)
     return 0
 
 
@@ -203,7 +205,7 @@ def build_parser() -> _Parser:
     p.add_argument("output", help="sequence file to write")
     p.add_argument(
         "--seed",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="RNG seed (default: the noise spec's seed field)",
     )
@@ -247,7 +249,7 @@ def build_parser() -> _Parser:
     p.add_argument("output", help="sequence file to write")
     p.add_argument("--range", type=_float_at_least(0.0), default=0.5,
                    help="uniform noise half-width in meters")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")

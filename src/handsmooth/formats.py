@@ -10,19 +10,16 @@ floats, trailing newline), so identical content is byte identical on disk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import camera as cam
 from .errors import ModelFileError, SchemaError
-from .hand_model import (
-    HandSkeleton,
-    load_skeleton,
-    skeleton_from_dict,
-    skeleton_to_dict,
-)
+from .hand_model import NUM_ARTICULATED, HandSkeleton, load_skeleton, skeleton_from_dict
 from .objective import SequenceObservation, TrajectoryParams
 from .synth import MotionSpec, NoiseSpec
 
@@ -51,26 +48,78 @@ def _need(d: dict, key: str, where: str):
     return d[key]
 
 
+@contextmanager
+def _at(where: str):
+    """Turn a conversion or validation error into ``SchemaError`` at ``where``.
+
+    A ``SchemaError`` raised inside already names its own, deeper path.
+    """
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SchemaError(f"{where}: {e}") from e
+
+
+def record_to_dict(obj) -> dict:
+    """A record's file object: one key per dataclass field, arrays as lists,
+    nested records as objects."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return record_to_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def record_from_dict(cls, d, where: str):
+    """Build record ``cls`` from its file object.
+
+    Each field is a key: a field without a default is required, a missing
+    optional key takes the field's default, and unknown keys are ignored.
+    Values convert to the field's annotated type (int, float, str, ndarray,
+    an optional of one of them, or a nested record).
+    """
+    if not isinstance(d, dict):
+        raise SchemaError(f"{where}: expected an object")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required or f.name in d:
+            here = f"{where}.{f.name}"
+            with _at(here):
+                values[f.name] = _convert(hints[f.name], _need(d, f.name, where), here)
+    with _at(where):
+        return cls(**values)
+
+
+def _convert(tp, value, where: str):
+    options = get_args(tp)
+    if type(None) in options:
+        if value is None:
+            return None
+        tp = next(t for t in options if t is not type(None))
+    if is_dataclass(tp):
+        return record_from_dict(tp, value, where)
+    if tp is np.ndarray:
+        return np.asarray(value, dtype=float)
+    if tp is str and not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return tp(value)
+
+
 def rig_to_dict(rig: cam.CameraRig) -> dict:
-    views = []
-    for intr, extr in rig.views:
-        views.append(
-            {
-                "intrinsics": {
-                    "fx": intr.fx,
-                    "fy": intr.fy,
-                    "cx": intr.cx,
-                    "cy": intr.cy,
-                    "width": intr.width,
-                    "height": intr.height,
-                },
-                "extrinsics": {
-                    "rotation": extr.rotation.tolist(),
-                    "translation": extr.translation.tolist(),
-                },
-            }
-        )
-    return {"views": views}
+    return {
+        "views": [
+            {"intrinsics": record_to_dict(intr), "extrinsics": record_to_dict(extr)}
+            for intr, extr in rig.views
+        ]
+    }
 
 
 def rig_from_dict(d: dict, where: str = "rig") -> cam.CameraRig:
@@ -82,36 +131,34 @@ def rig_from_dict(d: dict, where: str = "rig") -> cam.CameraRig:
         here = f"{where}.views[{i}]"
         intr_d = _need(v, "intrinsics", here)
         extr_d = _need(v, "extrinsics", here)
-        try:
-            intr = cam.Intrinsics(
-                fx=float(_need(intr_d, "fx", here)),
-                fy=float(_need(intr_d, "fy", here)),
-                cx=float(_need(intr_d, "cx", here)),
-                cy=float(_need(intr_d, "cy", here)),
-                width=int(_need(intr_d, "width", here)),
-                height=int(_need(intr_d, "height", here)),
+        views.append(
+            (
+                record_from_dict(cam.Intrinsics, intr_d, f"{here}.intrinsics"),
+                record_from_dict(cam.Extrinsics, extr_d, f"{here}.extrinsics"),
             )
-            extr = cam.Extrinsics(
-                rotation=np.asarray(_need(extr_d, "rotation", here), dtype=float),
-                translation=np.asarray(
-                    _need(extr_d, "translation", here), dtype=float
-                ),
-            )
-        except SchemaError:
-            raise
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"{here}: {e}") from e
-        views.append((intr, extr))
+        )
     return cam.CameraRig(views=tuple(views))
 
 
-def _trajectory_from_dict(d: dict, where: str) -> TrajectoryParams:
-    for key in ("shape", "orients", "positions", "joint_rotations"):
-        _need(d, key, where)
-    try:
-        return TrajectoryParams.from_dict(d)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise SchemaError(f"{where}: {e}") from e
+def trajectory_to_dict(traj: TrajectoryParams) -> dict:
+    """A trajectory's file object; joint rotations are stored as (N, 45) rows."""
+    return {
+        "shape": traj.shape.tolist(),
+        "orients": traj.orients.tolist(),
+        "positions": traj.positions.tolist(),
+        "joint_rotations": traj.joint_rotations.reshape(traj.num_frames, 45).tolist(),
+    }
+
+
+def trajectory_from_dict(d: dict, where: str) -> TrajectoryParams:
+    with _at(where):
+        shape, orients, positions, rots = (
+            np.asarray(_need(d, f.name, where), dtype=float)
+            for f in fields(TrajectoryParams)
+        )
+        return TrajectoryParams(
+            shape, orients, positions, rots.reshape(-1, NUM_ARTICULATED, 3)
+        )
 
 
 @dataclass(frozen=True)
@@ -154,13 +201,13 @@ class SequenceFile:
             "version": SEQUENCE_SCHEMA_VERSION,
             "skeleton": self.skeleton_ref,
             "rig": rig_to_dict(self.rig),
-            "init": self.init.to_dict(),
+            "init": trajectory_to_dict(self.init),
             "observations": {
                 "landmarks_2d": self.observations.landmarks_2d.tolist(),
                 "visibility": self.observations.visibility.tolist(),
             },
             "ground_truth": (
-                None if self.ground_truth is None else self.ground_truth.to_dict()
+                None if self.ground_truth is None else trajectory_to_dict(self.ground_truth)
             ),
         }
 
@@ -171,19 +218,14 @@ def _resolve_skeleton(ref, where: str) -> HandSkeleton:
             f"{where}: expected exactly one of {{'model': name}} or "
             f"{{'inline': {{...}}}}"
         )
-    if "model" in ref:
-        name = ref["model"]
-        if not isinstance(name, str):
-            raise SchemaError(f"{where}.model: expected a string")
-        try:
-            return load_skeleton(name)
-        except ModelFileError as e:
-            raise SchemaError(f"{where}.model: {e}") from e
-    if "inline" in ref:
-        try:
-            return skeleton_from_dict(ref["inline"])
-        except ModelFileError as e:
-            raise SchemaError(f"{where}.inline: {e}") from e
+    if "model" in ref and not isinstance(ref["model"], str):
+        raise SchemaError(f"{where}.model: expected a string")
+    for key, load in (("model", load_skeleton), ("inline", skeleton_from_dict)):
+        if key in ref:
+            try:
+                return load(ref[key])
+            except ModelFileError as e:
+                raise SchemaError(f"{where}.{key}: {e}") from e
     raise SchemaError(f"{where}: unknown skeleton reference {sorted(ref)}")
 
 
@@ -196,9 +238,9 @@ def sequence_from_dict(d: dict, where: str = "sequence") -> SequenceFile:
     skeleton_ref = _need(d, "skeleton", where)
     skeleton = _resolve_skeleton(skeleton_ref, f"{where}.skeleton")
     rig = rig_from_dict(_need(d, "rig", where), f"{where}.rig")
-    init = _trajectory_from_dict(_need(d, "init", where), f"{where}.init")
+    init = trajectory_from_dict(_need(d, "init", where), f"{where}.init")
     obs_d = _need(d, "observations", where)
-    try:
+    with _at(f"{where}.observations"):
         observations = SequenceObservation(
             landmarks_2d=np.asarray(
                 _need(obs_d, "landmarks_2d", f"{where}.observations"), dtype=float
@@ -208,13 +250,9 @@ def sequence_from_dict(d: dict, where: str = "sequence") -> SequenceFile:
             ),
             rig=rig,
         )
-    except SchemaError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
-        raise SchemaError(f"{where}.observations: {e}") from e
     gt_d = d.get("ground_truth")
     ground_truth = (
-        None if gt_d is None else _trajectory_from_dict(gt_d, f"{where}.ground_truth")
+        None if gt_d is None else trajectory_from_dict(gt_d, f"{where}.ground_truth")
     )
     if observations.landmarks_2d.shape[0] != init.num_frames:
         raise SchemaError(
@@ -244,37 +282,16 @@ def load_sequence(path) -> SequenceFile:
 
 
 def save_motion_spec(path, spec: MotionSpec) -> None:
-    dump_json(spec.to_dict(), path)
-
-
-def _load_spec(path, cls):
-    d = read_json(path)
-    if not isinstance(d, dict):
-        raise SchemaError(f"{path}: expected an object")
-    try:
-        return cls.from_dict(d)
-    except SchemaError as e:
-        raise SchemaError(f"{path}: {e}") from e
+    dump_json(record_to_dict(spec), path)
 
 
 def load_motion_spec(path) -> MotionSpec:
-    return _load_spec(path, MotionSpec)
+    return record_from_dict(MotionSpec, read_json(path), str(path))
 
 
 def save_noise_spec(path, spec: NoiseSpec) -> None:
-    dump_json(spec.to_dict(), path)
+    dump_json(record_to_dict(spec), path)
 
 
 def load_noise_spec(path) -> NoiseSpec:
-    return _load_spec(path, NoiseSpec)
-
-
-def save_model_file(path, skeleton: HandSkeleton) -> None:
-    dump_json(skeleton_to_dict(skeleton), path)
-
-
-def load_model_file(path) -> HandSkeleton:
-    try:
-        return skeleton_from_dict(read_json(path))
-    except SchemaError as e:
-        raise SchemaError(f"{path}: {e}") from e
+    return record_from_dict(NoiseSpec, read_json(path), str(path))

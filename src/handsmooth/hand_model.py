@@ -192,15 +192,6 @@ def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations)
 # ----- model file -----
 
 
-def skeleton_to_dict(skeleton: HandSkeleton) -> dict:
-    return {
-        "version": skeleton.version,
-        "parents": [int(p) for p in skeleton.parents],
-        "rest_offsets": skeleton.rest_offsets.tolist(),
-        "shape_basis": skeleton.shape_basis.tolist(),
-    }
-
-
 def skeleton_from_dict(d: dict) -> HandSkeleton:
     if not isinstance(d, dict):
         raise ModelFileError("model must be a JSON object")

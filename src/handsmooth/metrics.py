@@ -84,34 +84,6 @@ class MetricReport:
     per_frame_mpjpe_mm: np.ndarray | None = None
     per_frame_accel_mm: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def to_dict(self) -> dict:
-        return {
-            "mpjpe_mm": self.mpjpe_mm,
-            "accel_error_mm": self.accel_error_mm,
-            "reproj_px": self.reproj_px,
-            "per_frame_mpjpe_mm": (
-                None
-                if self.per_frame_mpjpe_mm is None
-                else np.asarray(self.per_frame_mpjpe_mm).tolist()
-            ),
-            "per_frame_accel_mm": np.asarray(self.per_frame_accel_mm).tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
-        pf_mpjpe = d.get("per_frame_mpjpe_mm")
-        return cls(
-            mpjpe_mm=d.get("mpjpe_mm"),
-            accel_error_mm=float(d["accel_error_mm"]),
-            reproj_px=float(d["reproj_px"]),
-            per_frame_mpjpe_mm=(
-                None if pf_mpjpe is None else np.asarray(pf_mpjpe, dtype=float)
-            ),
-            per_frame_accel_mm=np.asarray(
-                d.get("per_frame_accel_mm", ()), dtype=float
-            ),
-        )
-
     def format_table(self) -> str:
         rows = [("acceleration (mm/frame^2)", self.accel_error_mm),
                 ("reprojection (px)", self.reproj_px)]

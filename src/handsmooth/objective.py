@@ -118,24 +118,6 @@ class TrajectoryParams:
             raise ValueError(f"flat vector must have length {expected}")
         return cls(*_split_flat(vec, num_frames))
 
-    def to_dict(self) -> dict:
-        return {
-            "shape": self.shape.tolist(),
-            "orients": self.orients.tolist(),
-            "positions": self.positions.tolist(),
-            "joint_rotations": self.joint_rotations.reshape(self.num_frames, 45).tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrajectoryParams":
-        rots = np.asarray(d["joint_rotations"], dtype=float)
-        return cls(
-            shape=np.asarray(d["shape"], dtype=float),
-            orients=np.asarray(d["orients"], dtype=float),
-            positions=np.asarray(d["positions"], dtype=float),
-            joint_rotations=rots.reshape(-1, NUM_ARTICULATED, 3),
-        )
-
 
 @dataclass(frozen=True)
 class SequenceObservation:

@@ -123,15 +123,6 @@ class LossReport:
             d["final_metrics"] = self.final_metrics
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LossReport":
-        return cls(
-            entries=[LossEntry(**e) for e in d["entries"]],
-            non_improving=bool(d["non_improving"]),
-            initial_metrics=d.get("initial_metrics"),
-            final_metrics=d.get("final_metrics"),
-        )
-
     def to_csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for e in self.entries:

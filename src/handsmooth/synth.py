@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import camera as cam
-from .errors import SchemaError, SpecError
+from .errors import SpecError
 from .hand_model import NUM_ARTICULATED, NUM_SHAPE_PARAMS, HandSkeleton
 from .objective import SequenceObservation, TrajectoryParams, trajectory_joints
 
@@ -112,8 +112,8 @@ class MotionSpec:
     Amplitudes are radians of flexion about the joint x axis.
     """
 
-    num_frames: int = 60
-    fps: float = 30.0
+    num_frames: int
+    fps: float
     amplitude: np.ndarray | None = None  # (15,) rad
     frequency: np.ndarray | None = None  # (15,) Hz
     phase: np.ndarray | None = None      # (15,) rad
@@ -150,75 +150,6 @@ class MotionSpec:
             raise ValueError("beta must be a finite (10,) array")
         object.__setattr__(self, "beta", beta)
 
-    def to_dict(self) -> dict:
-        return {
-            "num_frames": self.num_frames,
-            "fps": self.fps,
-            "amplitude": None if self.amplitude is None else self.amplitude.tolist(),
-            "frequency": None if self.frequency is None else self.frequency.tolist(),
-            "phase": None if self.phase is None else self.phase.tolist(),
-            "wrist": {
-                "kind": self.wrist.kind,
-                "start": self.wrist.start.tolist(),
-                "direction": self.wrist.direction.tolist(),
-                "center": self.wrist.center.tolist(),
-                "normal": self.wrist.normal.tolist(),
-                "radius": self.wrist.radius,
-                "speed": self.wrist.speed,
-            },
-            "orient_start": self.orient_start.tolist(),
-            "orient_rate": self.orient_rate.tolist(),
-            "beta": self.beta.tolist(),
-            "rig": {
-                "num_views": self.rig.num_views,
-                "radius": self.rig.radius,
-                "elevation": self.rig.elevation,
-                "fx": self.rig.fx,
-                "fy": self.rig.fy,
-                "width": self.rig.width,
-                "height": self.rig.height,
-                "center": None if self.rig.center is None else self.rig.center.tolist(),
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MotionSpec":
-        try:
-            wrist = d.get("wrist", {})
-            rig = d.get("rig", {})
-            opt = lambda v: None if v is None else np.asarray(v, dtype=float)  # noqa: E731
-            return cls(
-                num_frames=int(d["num_frames"]),
-                fps=float(d["fps"]),
-                amplitude=opt(d.get("amplitude")),
-                frequency=opt(d.get("frequency")),
-                phase=opt(d.get("phase")),
-                wrist=WristPath(
-                    kind=wrist.get("kind", "line"),
-                    start=np.asarray(wrist.get("start", (0, 0, 0)), dtype=float),
-                    direction=np.asarray(wrist.get("direction", (1, 0, 0)), dtype=float),
-                    center=np.asarray(wrist.get("center", (0, 0, 0)), dtype=float),
-                    normal=np.asarray(wrist.get("normal", (0, 0, 1)), dtype=float),
-                    radius=float(wrist.get("radius", 0.1)),
-                    speed=float(wrist.get("speed", 0.05)),
-                ),
-                orient_start=np.asarray(d.get("orient_start", (0, 0, 0)), dtype=float),
-                orient_rate=np.asarray(d.get("orient_rate", (0, 0, 0)), dtype=float),
-                beta=np.asarray(d.get("beta", np.zeros(NUM_SHAPE_PARAMS)), dtype=float),
-                rig=RigSpec(
-                    num_views=int(rig.get("num_views", 2)),
-                    radius=float(rig.get("radius", 0.75)),
-                    elevation=float(rig.get("elevation", 0.15)),
-                    fx=float(rig.get("fx", 350.0)),
-                    fy=float(rig.get("fy", 350.0)),
-                    width=int(rig.get("width", 640)),
-                    height=int(rig.get("height", 480)),
-                    center=opt(rig.get("center")),
-                ),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"invalid motion spec: {e}") from e
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -238,30 +169,8 @@ class NoiseSpec:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not 0 <= self.visibility_dropout <= 1:
             raise ValueError("visibility_dropout must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma_position": self.sigma_position,
-            "sigma_orient": self.sigma_orient,
-            "sigma_pose": self.sigma_pose,
-            "sigma_pixel": self.sigma_pixel,
-            "visibility_dropout": self.visibility_dropout,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseSpec":
-        try:
-            return cls(
-                sigma_position=float(d.get("sigma_position", 0.0)),
-                sigma_orient=float(d.get("sigma_orient", 0.0)),
-                sigma_pose=float(d.get("sigma_pose", 0.0)),
-                sigma_pixel=float(d.get("sigma_pixel", 0.0)),
-                visibility_dropout=float(d.get("visibility_dropout", 0.0)),
-                seed=int(d.get("seed", 0)),
-            )
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SchemaError(f"invalid noise spec: {e}") from e
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _look_at(cam_pos: np.ndarray, target: np.ndarray) -> cam.Extrinsics:

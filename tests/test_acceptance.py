@@ -13,7 +13,6 @@ import numpy as np
 import handsmooth as hs
 from handsmooth.camera import perturb_extrinsics
 from handsmooth.cli import main as cli_main
-from handsmooth.hand_model import load_skeleton
 from handsmooth.objective import acceleration_loss, loss_components
 from handsmooth.smoother import SmootherConfig, cosine_lr, smooth
 from handsmooth.synth import build_rig

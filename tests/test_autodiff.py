@@ -302,3 +302,24 @@ class TestFiniteDifferenceAgreement:
             objective = hs.make_flat_objective(obs, skeleton)
             err = ad.check_gradient(objective, traj.to_flat())
             assert err < 1e-4, f"{seed=} {hidden=}: max relative error {err:.3e}"
+
+    def test_full_objective_near_camera_plane(self):
+        # View 0 moves along its optical axis until the nearest joint sits at
+        # each depth. Not asserted: at 2e-6 m the +-1e-6 central difference
+        # pushes that joint across camera.MIN_DEPTH, the visibility mask
+        # flips between the two evaluations and the error reaches 0.25. That
+        # is a limit of finite differences, not of the tape.
+        import handsmooth as hs
+
+        for seed in range(3):
+            traj, obs, skeleton = hs.random_problem(5, 2, seed)
+            intr, extr = obs.rig.views[0]
+            depth = hs.trajectory_joints(traj, skeleton) @ extr.rotation[2] + extr.translation[2]
+            for target in (1e-2, 1e-3):
+                moved = replace(
+                    extr, translation=extr.translation - [0.0, 0.0, depth.min() - target]
+                )
+                rig = hs.CameraRig(views=((intr, moved),) + obs.rig.views[1:])
+                objective = hs.make_flat_objective(replace(obs, rig=rig), skeleton)
+                err = ad.check_gradient(objective, traj.to_flat())
+                assert err < 1e-5, f"{seed=} {target=}: max relative error {err:.3e}"

@@ -76,6 +76,21 @@ class TestGenerate:
             assert code == 1
             assert capsys.readouterr().err.startswith(f"error: {noise}: ")
 
+    def test_negative_spec_seed_exits_1(self, specs, tmp_path, capsys):
+        motion, _ = specs
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"seed": -1}')
+        assert main(["generate", str(motion), str(noise), str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err == f"error: {noise}: seed must be >= 0\n"
+
+    def test_negative_seed_flag_exits_1(self, specs, tmp_path, capsys):
+        motion, noise = specs
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", str(motion), str(noise), str(tmp_path / "out.json"),
+                  "--seed", "-1"])
+        assert exc.value.code == 1
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+
 
 class TestSmooth:
     def test_refines_and_writes_reports(self, fixtures_dir, tmp_path, capsys):
@@ -188,7 +203,8 @@ class TestEval:
         "mutate, where",
         [
             (lambda d: d["init"].update(joint_rotations=0.5), "init"),
-            (lambda d: d["rig"]["views"][0]["intrinsics"].update(width=1e300), "rig.views[0]"),
+            (lambda d: d["rig"]["views"][0]["intrinsics"].update(width=1e300),
+             "rig.views[0].intrinsics.width"),
             (lambda d: d.update(skeleton={"inline": dict(default_model_dict(), rest_offsets="x")}),
              "skeleton.inline"),
         ],
@@ -219,6 +235,13 @@ class TestPerturb:
         main(["perturb", src, str(c), "--seed", "4"])
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
+
+    def test_negative_seed_flag_exits_1(self, fixtures_dir, tmp_path, capsys):
+        src = str(fixtures_dir / "sequence_small.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb", src, str(tmp_path / "out.json"), "--seed", "-1"])
+        assert exc.value.code == 1
+        assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
     def test_only_translations_change(self, fixtures_dir, tmp_path):
         out = tmp_path / "moved.json"

@@ -15,13 +15,15 @@ from handsmooth.formats import (
     SequenceFile,
     dump_json,
     read_json,
+    record_from_dict,
+    record_to_dict,
     rig_from_dict,
     rig_to_dict,
     sequence_from_dict,
 )
-from handsmooth.hand_model import DEFAULT_MODEL, skeleton_to_dict
+from handsmooth.hand_model import DEFAULT_MODEL
 from handsmooth.metrics import MetricReport
-from handsmooth.smoother import LossReport
+from handsmooth.smoother import LossEntry
 
 from conftest import constant_velocity_motion, exact_sequence
 
@@ -93,15 +95,17 @@ class TestFixturesLoad:
         assert seq.observations.landmarks_2d.shape == (3, 1, 21, 2)
 
     def test_loss_report(self, fixtures_dir):
-        report = LossReport.from_json_dict(
-            read_json(fixtures_dir / "loss_report.json")
-        )
-        assert len(report.entries) == 3  # 2 iterations plus the final snapshot
-        assert report.final_metrics is not None
+        report = read_json(fixtures_dir / "loss_report.json")
+        entries = [record_from_dict(LossEntry, e, "entries") for e in report["entries"]]
+        assert len(entries) == 3  # 2 iterations plus the final snapshot
+        for name in ("initial_metrics", "final_metrics"):
+            record_from_dict(MetricReport, report[name], name)
 
     def test_metric_report(self, fixtures_dir):
-        report = MetricReport.from_dict(read_json(fixtures_dir / "metric_report.json"))
+        d = read_json(fixtures_dir / "metric_report.json")
+        report = record_from_dict(MetricReport, d, "metric_report")
         assert report.reproj_px >= 0.0
+        assert record_to_dict(report) == d
 
     def test_generator_reproduces_every_fixture_byte_for_byte(self, fixtures_dir, tmp_path):
         spec = importlib.util.spec_from_file_location("gen_fixtures", GEN_FIXTURES)
@@ -134,7 +138,7 @@ class TestSequenceRoundTrip:
         seq = make_sequence_file()
         inline = SequenceFile(
             skeleton=skeleton,
-            skeleton_ref={"inline": skeleton_to_dict(skeleton)},
+            skeleton_ref={"inline": record_to_dict(skeleton)},
             init=seq.init,
             observations=seq.observations,
             ground_truth=seq.ground_truth,
@@ -158,7 +162,7 @@ class TestSequenceRoundTrip:
         spec = hs.load_motion_spec(fixtures_dir / "acceptance_motion.json")
         path = tmp_path / "motion.json"
         hs.save_motion_spec(path, spec)
-        assert hs.load_motion_spec(path).to_dict() == spec.to_dict()
+        assert record_to_dict(hs.load_motion_spec(path)) == record_to_dict(spec)
 
     def test_noise_spec_round_trip(self, tmp_path, fixtures_dir):
         spec = hs.load_noise_spec(fixtures_dir / "acceptance_noise.json")
@@ -226,7 +230,7 @@ class TestSequenceSchemaErrors:
             # JSON 1e400 reads as infinity
             (
                 lambda d: d["rig"]["views"][0]["intrinsics"].update(width=float("inf")),
-                "sequence.rig.views[0]",
+                "sequence.rig.views[0].intrinsics.width",
             ),
             # an integer literal too large for any float
             (lambda d: d["init"]["positions"][0].__setitem__(0, 10**400), "sequence.init"),
@@ -244,7 +248,7 @@ class TestSequenceSchemaErrors:
 
     def test_overflowing_inline_skeleton(self, skeleton):
         d = make_sequence_file().to_dict()
-        inline = skeleton_to_dict(skeleton)
+        inline = record_to_dict(skeleton)
         inline["rest_offsets"][1][0] = 10**400  # an integer literal no float holds
         d["skeleton"] = {"inline": inline}
         with pytest.raises(SchemaError):
@@ -259,7 +263,7 @@ class TestSequenceSchemaErrors:
         ],
     )
     def test_malformed_spec(self, tmp_path, load, spec, key, value):
-        d = spec.to_dict()
+        d = record_to_dict(spec)
         d[key] = value
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(d))
@@ -278,3 +282,58 @@ class TestSequenceSchemaErrors:
         path.write_text(json.dumps({"version": "1"}) + "\n")
         with pytest.raises(SchemaError, match="bad_sequence"):
             hs.load_sequence(path)
+
+
+# Values set in place of each mutated node; "1e400" is written as that JSON
+# literal, which reads as infinity.
+MUTATIONS = (None, "x", [], {}, "1e400", -1, 10**400, True, [1, 2])
+MUTATION_INPUTS = (
+    ("sequence_small.json", hs.load_sequence, False),
+    ("motion_demo.json", hs.load_motion_spec, True),
+    ("acceptance_motion.json", hs.load_motion_spec, True),
+    ("noise_demo.json", hs.load_noise_spec, True),
+    ("acceptance_noise.json", hs.load_noise_spec, True),
+)
+
+
+def key_paths(node, prefix=()):
+    """Every key path below ``node``, taking at most 2 elements of each list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node[:2])
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from key_paths(child, prefix + (key,))
+
+
+def mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "__1e400__" if value == "1e400" else value
+    return json.dumps(doc).replace('"__1e400__"', "1e400")
+
+
+class TestMutationSweep:
+    @pytest.mark.parametrize("name, load, is_spec", MUTATION_INPUTS)
+    def test_every_mutation_loads_or_names_its_key(
+        self, fixtures_dir, tmp_path, name, load, is_spec
+    ):
+        """Each mutated copy of an input fixture either loads or raises a
+        SchemaError that starts with the file path; a spec's error also names
+        the mutated top-level key."""
+        doc = read_json(fixtures_dir / name)
+        path = tmp_path / name
+        escapes = []
+        for keys in key_paths(doc):
+            for value in MUTATIONS:
+                path.write_text(mutated(doc, keys, value))
+                try:
+                    load(path)
+                except SchemaError as e:
+                    rest = str(e).removeprefix(str(path))
+                    if rest == str(e) or (is_spec and keys[0] not in rest):
+                        escapes.append((keys, value, str(e)))
+                except Exception as e:  # noqa: BLE001 - every escape is a finding
+                    escapes.append((keys, value, repr(e)))
+        assert not escapes, f"{len(escapes)} escapes, first: {escapes[:3]}"

@@ -4,6 +4,7 @@ The FK oracle below is an independent reimplementation on top of
 scipy.spatial.transform.Rotation; the package's own code never touches scipy.
 """
 
+import importlib.util
 import json
 import pathlib
 
@@ -14,6 +15,7 @@ from scipy.spatial.transform import Rotation
 import handsmooth as hs
 import handsmooth.autodiff as ad
 from handsmooth.errors import ModelFileError
+from handsmooth.formats import record_to_dict
 from handsmooth.hand_model import (
     SMALL_ANGLE_SQ,
     canonicalize_axis_angle,
@@ -21,7 +23,6 @@ from handsmooth.hand_model import (
     fk_joints,
     rotation_matrices,
     skeleton_from_dict,
-    skeleton_to_dict,
 )
 
 MODEL_JSON = (
@@ -31,6 +32,7 @@ MODEL_JSON = (
     / "data"
     / "hand_model_v1.json"
 )
+GEN_HAND_MODEL = pathlib.Path(__file__).parent.parent / "tools" / "gen_hand_model.py"
 
 
 def fk_oracle(skeleton, beta, orient, position, joint_rotations):
@@ -298,8 +300,15 @@ class TestModelFile:
             on_disk = json.load(f)
         assert on_disk == default_model_dict()
 
+    def test_generator_reproduces_model_file_byte_for_byte(self, tmp_path):
+        spec = importlib.util.spec_from_file_location("gen_hand_model", GEN_HAND_MODEL)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        gen.main(tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == MODEL_JSON.read_bytes()
+
     def test_load_skeleton_roundtrip(self, skeleton):
-        again = skeleton_from_dict(skeleton_to_dict(skeleton))
+        again = skeleton_from_dict(record_to_dict(skeleton))
         assert np.array_equal(again.rest_offsets, skeleton.rest_offsets)
         assert np.array_equal(again.shape_basis, skeleton.shape_basis)
         assert np.array_equal(again.parents, skeleton.parents)
@@ -309,13 +318,13 @@ class TestModelFile:
             hs.load_skeleton("no_such_model")
 
     def test_missing_field_rejected(self, skeleton):
-        d = skeleton_to_dict(skeleton)
+        d = record_to_dict(skeleton)
         del d["rest_offsets"]
         with pytest.raises(ModelFileError):
             skeleton_from_dict(d)
 
     def test_wrong_version_rejected(self, skeleton):
-        d = skeleton_to_dict(skeleton)
+        d = record_to_dict(skeleton)
         d["version"] = "999"
         with pytest.raises(ModelFileError):
             skeleton_from_dict(d)

@@ -5,6 +5,7 @@ import pytest
 
 import handsmooth as hs
 from handsmooth.camera import CameraRig, Extrinsics, Intrinsics
+from handsmooth.formats import record_from_dict, record_to_dict
 from handsmooth.metrics import MetricReport
 from handsmooth.objective import SequenceObservation, trajectory_joints
 
@@ -166,15 +167,15 @@ class TestMetricReport:
     def test_dict_roundtrip(self, skeleton):
         gt, init, obs, _ = exact_sequence(constant_velocity_motion(5))
         report = hs.evaluate(init, gt, obs, skeleton)
-        again = MetricReport.from_dict(report.to_dict())
-        assert again.to_dict() == report.to_dict()
+        again = record_from_dict(MetricReport, record_to_dict(report), "report")
+        assert record_to_dict(again) == record_to_dict(report)
 
     def test_dict_roundtrip_without_gt(self, skeleton):
         gt, _, obs, _ = exact_sequence(constant_velocity_motion(5))
         report = hs.evaluate(gt, None, obs, skeleton)
-        again = MetricReport.from_dict(report.to_dict())
+        again = record_from_dict(MetricReport, record_to_dict(report), "report")
         assert again.mpjpe_mm is None
-        assert again.to_dict() == report.to_dict()
+        assert record_to_dict(again) == record_to_dict(report)
 
     def test_format_table(self, skeleton):
         gt, init, obs, _ = exact_sequence(constant_velocity_motion(5))

@@ -7,6 +7,7 @@ from scipy.spatial.transform import Rotation
 
 import handsmooth as hs
 from handsmooth.errors import DegenerateObservationError
+from handsmooth.formats import trajectory_from_dict, trajectory_to_dict
 from handsmooth.objective import acceleration_loss
 
 from conftest import constant_velocity_motion, exact_sequence
@@ -274,7 +275,7 @@ class TestTrajectoryParams:
 
     def test_dict_roundtrip(self):
         traj, _, _ = hs.random_problem(3, 1, seed=14)
-        again = hs.TrajectoryParams.from_dict(traj.to_dict())
+        again = trajectory_from_dict(trajectory_to_dict(traj), "init")
         assert np.array_equal(again.to_flat(), traj.to_flat())
 
 

@@ -9,6 +9,7 @@ import pytest
 import handsmooth as hs
 from handsmooth import smoother
 from handsmooth.errors import DivergedError
+from handsmooth.formats import record_from_dict
 from handsmooth.smoother import CSV_COLUMNS, AdamWState
 
 from conftest import constant_velocity_motion, exact_sequence
@@ -260,8 +261,10 @@ class TestLossReport:
         path = tmp_path / "trace.json"
         report.save(path)
         with open(path) as f:
-            loaded = hs.LossReport.from_json_dict(json.load(f))
-        assert loaded.to_json_dict() == report.to_json_dict()
+            loaded = json.load(f)
+        assert loaded == report.to_json_dict()
+        entries = [record_from_dict(hs.LossEntry, e, "entry") for e in loaded["entries"]]
+        assert entries == report.entries
 
     def test_entries_are_plain_field_dicts(self):
         entry = hs.LossEntry(

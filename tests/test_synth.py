@@ -5,7 +5,7 @@ import pytest
 
 import handsmooth as hs
 from handsmooth.errors import SchemaError, SpecError
-from handsmooth.hand_model import fk_joints
+from handsmooth.formats import record_from_dict, record_to_dict
 from handsmooth.synth import MAX_AMPLITUDE, build_rig
 
 from conftest import constant_velocity_motion, exact_sequence
@@ -97,14 +97,14 @@ class TestMotionSpec:
 
     def test_dict_roundtrip(self):
         spec = demo_motion()
-        again = hs.MotionSpec.from_dict(spec.to_dict())
-        assert again.to_dict() == spec.to_dict()
+        again = record_from_dict(hs.MotionSpec, record_to_dict(spec), "motion")
+        assert record_to_dict(again) == record_to_dict(spec)
 
     def test_from_dict_rejects_garbage(self):
-        with pytest.raises(SchemaError):
-            hs.MotionSpec.from_dict({"fps": 30.0})  # missing num_frames
-        with pytest.raises(SchemaError):
-            hs.MotionSpec.from_dict({"num_frames": "many", "fps": 30.0})
+        with pytest.raises(SchemaError, match="^motion: missing key 'num_frames'$"):
+            record_from_dict(hs.MotionSpec, {"fps": 30.0}, "motion")
+        with pytest.raises(SchemaError, match="^motion.num_frames: invalid literal"):
+            record_from_dict(hs.MotionSpec, {"num_frames": "many", "fps": 30.0}, "motion")
 
     def test_wrist_must_stay_visible(self):
         # path spans ~11 m while the rig circles 0.75 m from its midpoint,
@@ -134,6 +134,8 @@ class TestNoiseSpec:
             hs.NoiseSpec(sigma_pixel=-1.0)
         with pytest.raises(ValueError):
             hs.NoiseSpec(visibility_dropout=1.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            hs.NoiseSpec(seed=-1)
 
     def test_dict_roundtrip(self):
         spec = hs.NoiseSpec(
@@ -144,11 +146,11 @@ class TestNoiseSpec:
             visibility_dropout=0.25,
             seed=9,
         )
-        assert hs.NoiseSpec.from_dict(spec.to_dict()) == spec
+        assert record_from_dict(hs.NoiseSpec, record_to_dict(spec), "noise") == spec
 
     def test_from_dict_rejects_garbage(self):
-        with pytest.raises(SchemaError):
-            hs.NoiseSpec.from_dict({"sigma_pixel": "large"})
+        with pytest.raises(SchemaError, match="^noise.sigma_pixel: could not convert"):
+            record_from_dict(hs.NoiseSpec, {"sigma_pixel": "large"}, "noise")
 
 
 class TestCorruption:

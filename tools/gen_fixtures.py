@@ -117,16 +117,16 @@ def main(out_dir=FIXTURES):
         seq.skeleton,
         hs.SmootherConfig(max_iters=2),
     )
-    report.initial_metrics = hs.evaluate(
-        seq.init, seq.ground_truth, seq.observations, seq.skeleton
-    ).to_dict()
-    report.final_metrics = hs.evaluate(
-        refined, seq.ground_truth, seq.observations, seq.skeleton
-    ).to_dict()
+    report.initial_metrics, report.final_metrics = (
+        formats.record_to_dict(
+            hs.evaluate(traj, seq.ground_truth, seq.observations, seq.skeleton)
+        )
+        for traj in (seq.init, refined)
+    )
     report.save(out / "loss_report.json")
 
     metric = hs.evaluate(seq.init, seq.ground_truth, seq.observations, seq.skeleton)
-    formats.dump_json(metric.to_dict(), out / "metric_report.json")
+    formats.dump_json(formats.record_to_dict(metric), out / "metric_report.json")
 
     for p in sorted(out.iterdir()):
         print(f"wrote {p} ({p.stat().st_size} bytes)")
