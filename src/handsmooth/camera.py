@@ -14,6 +14,13 @@ from .errors import BehindCameraError
 # Points with camera depth at or below this are treated as unprojectable.
 MIN_DEPTH = 1e-6
 
+# Rotation tolerances, in np.allclose's elementwise form |a - b| <= atol +
+# rtol * |b| with atol = 1e-9 and rtol = 1e-5: on R^T R against the identity,
+# and on det R against 1.
+_EYE3 = np.eye(3)
+_ORTHONORMAL_TOL = 1e-9 + 1e-5 * _EYE3
+_DET_TOL = 1e-9 + 1e-5
+
 
 @dataclass(frozen=True)
 class Intrinsics:
@@ -48,11 +55,13 @@ class Extrinsics:
         t = ad.readonly(self.translation)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be (3, 3) and translation (3,)")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+        if not (np.isfinite(r).all() and np.isfinite(t).all()):
             raise ValueError("extrinsics must be finite")
-        if not np.allclose(r.T @ r, np.eye(3), atol=1e-9):
+        if (np.abs(r.T @ r - _EYE3) > _ORTHONORMAL_TOL).any():
             raise ValueError("rotation must be orthonormal within 1e-9")
-        if not np.isclose(np.linalg.det(r), 1.0, atol=1e-9):
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        det = a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+        if not abs(det - 1.0) <= _DET_TOL:
             raise ValueError("rotation must have determinant +1")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from itertools import islice
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -25,11 +26,27 @@ from .synth import MotionSpec, NoiseSpec
 
 SEQUENCE_SCHEMA_VERSION = "1"
 
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+
 
 def dump_json(obj, path) -> None:
-    """Deterministic JSON writer used for every file this package emits."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    """Deterministic JSON writer used for every file this package emits.
+
+    The text is streamed to the file in batches of encoder chunks: joining
+    a whole sequence file in memory first held about four times its size at
+    once. An object JSON cannot hold (NaN, infinity, a non-JSON type) raises
+    as ``json.dumps`` does and removes the partly written file.
+    """
+    chunks = _JSON_ENCODER.iterencode(obj)
+    f = open(path, "w")
+    try:
+        with f:
+            while batch := "".join(islice(chunks, 16384)):
+                f.write(batch)
+            f.write("\n")
+    except Exception:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def read_json(path) -> dict:

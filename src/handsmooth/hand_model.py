@@ -160,33 +160,39 @@ def rotation_matrices(aa):
 
 
 def bone_scales(skeleton: HandSkeleton, beta):
-    """Per-joint offset scale factors exp(shape_basis @ beta); generic over tapes."""
+    """Per-joint offset scale factors exp(shape_basis @ beta), shape (..., 21)
+    for beta (..., 10); generic over tapes."""
+    lead = ad.value_of(beta).shape[:-1]
+    if lead:  # a batch of shape vectors broadcasts against the (21, 10) basis
+        beta = ad.reshape(beta, lead + (1, NUM_SHAPE_PARAMS))
     return ad.exp(ad.sum(skeleton.shape_basis * beta, axis=-1))
 
 
 def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations):
-    """World joint positions for a batch of frames, shape (N, 21, 3).
+    """World joint positions for a batch of frames, shape (..., N, 21, 3).
 
-    Shapes: beta (10,), orients (N, 3), positions (N, 3), joint_rotations
-    (N, 15, 3). Any argument may be a tape Tensor. Joint j sits at
+    Shapes: beta (..., 10), orients (..., N, 3), positions (..., N, 3),
+    joint_rotations (..., N, 15, 3), with the same leading batch axes (none
+    for one sequence). Any argument may be a tape Tensor. Joint j sits at
     parent + parent_world_rotation @ (scale_j * rest_offset_j); a joint's own
     rotation only affects its descendants, and fingertips carry none.
     """
     scales = bone_scales(skeleton, beta)
-    n = ad.value_of(orients).shape[0]
-    aa_all = ad.concat([ad.reshape(orients, (n, 1, 3)), joint_rotations], axis=1)
-    rots = rotation_matrices(aa_all)  # (N, 16, 3, 3)
+    lead = ad.value_of(orients).shape[:-1]  # (..., N)
+    aa_all = ad.concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
+    rots = rotation_matrices(aa_all)  # (..., N, 16, 3, 3)
     slot = {j: k + 1 for k, j in enumerate(skeleton.articulated_joints)}
-    world_rot = {0: rots[:, 0]}
+    world_rot = {0: rots[..., 0, :, :]}
     world_pos = {0: positions}
     for j in range(1, NUM_JOINTS):
         p = int(skeleton.parents[j])
-        offset = scales[j] * skeleton.rest_offsets[j]
+        offset = scales[..., j : j + 1] * skeleton.rest_offsets[j]  # (..., 3)
         rp = world_rot[p]
-        world_pos[j] = world_pos[p] + ad.sum(rp * ad.reshape(offset, (1, 1, 3)), axis=-1)
+        step = ad.reshape(offset, lead[:-1] + (1, 1, 3))
+        world_pos[j] = world_pos[p] + ad.sum(rp * step, axis=-1)
         if j in slot:
-            world_rot[j] = ad.matmul(rp, rots[:, slot[j]])
-    return ad.stack([world_pos[j] for j in range(NUM_JOINTS)], axis=1)
+            world_rot[j] = ad.matmul(rp, rots[..., slot[j], :, :])
+    return ad.stack([world_pos[j] for j in range(NUM_JOINTS)], axis=-2)
 
 
 # ----- model file -----

@@ -3,7 +3,9 @@ temporal acceleration penalties on pose, orientation, and position series.
 
 All loss code is written against the autodiff dispatch helpers, so the same
 functions evaluate with plain arrays (fast, tape-free) or record onto a tape
-for gradients.
+for gradients. The tape-free route also takes leading batch axes: the flat
+objective maps a (P,) vector to a scalar and a (B, P) block of vectors to
+(B,) values, row by row.
 """
 
 from __future__ import annotations
@@ -52,15 +54,13 @@ class LossWeights:
 
 def _split_flat(vec, num_frames: int):
     """The (shape, orients, positions, joint_rotations) parts of a flat
-    vector, Tensor or array, in the layout of ``TrajectoryParams.to_flat``."""
-    shape = vec[:NUM_SHAPE_PARAMS]
-    frames = ad.reshape(vec[NUM_SHAPE_PARAMS:], (num_frames, FRAME_PARAMS))
-    return (
-        shape,
-        frames[:, 0:3],
-        frames[:, 3:6],
-        ad.reshape(frames[:, 6:51], (num_frames, NUM_ARTICULATED, 3)),
-    )
+    vector (..., P), Tensor or array, in the layout of
+    ``TrajectoryParams.to_flat``: (..., 10), (..., N, 3), (..., N, 3) and
+    (..., N, 45), with any leading axes kept as batch axes."""
+    lead = ad.value_of(vec).shape[:-1]
+    shape = vec[..., :NUM_SHAPE_PARAMS]
+    frames = ad.reshape(vec[..., NUM_SHAPE_PARAMS:], lead + (num_frames, FRAME_PARAMS))
+    return shape, frames[..., 0:3], frames[..., 3:6], frames[..., 6:51]
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ class TrajectoryParams:
         expected = NUM_SHAPE_PARAMS + FRAME_PARAMS * num_frames
         if vec.shape != (expected,):
             raise ValueError(f"flat vector must have length {expected}")
-        return cls(*_split_flat(vec, num_frames))
+        shape, orients, positions, rots = _split_flat(vec, num_frames)
+        return cls(shape, orients, positions, rots.reshape(num_frames, NUM_ARTICULATED, 3))
 
 
 @dataclass(frozen=True)
@@ -152,18 +153,20 @@ class SequenceObservation:
 
 
 def acceleration_loss(series):
-    """Mean smoothed-|.| of discrete second differences along axis 0.
+    """Mean smoothed-|.| of discrete second differences along the time axis.
 
-    ``series`` is (N, ...) with N >= 3, Tensor or array. Equals
-    sum_t |x_t - 2 x_{t-1} + x_{t-2}| / ((N - 2) * D) with D the number of
-    trailing dimensions, using the smoothed absolute value, so a constant or
-    constant-velocity series scores 0 and gradients exist there.
+    ``series`` is (..., N, D), Tensor or array: time is axis -2, with
+    N >= 3 frames of D values each, and any leading axes are batch axes, so
+    the result has shape (...). Joint rotations enter as (..., N, 45). Per
+    batch row it equals sum_t |x_t - 2 x_{t-1} + x_{t-2}| / ((N - 2) * D),
+    using the smoothed absolute value, so a constant or constant-velocity
+    series scores 0 and gradients exist there.
     """
-    n = ad.value_of(series).shape[0]
-    if n < MIN_FRAMES:
-        raise ValueError("acceleration needs at least 3 frames")
-    d2 = series[2:] - series[1:-1] * 2.0 + series[:-2]
-    return ad.mean(ad.abs_smooth(d2))
+    shape = ad.value_of(series).shape
+    if len(shape) < 2 or shape[-2] < MIN_FRAMES:
+        raise ValueError("acceleration needs a (..., N, D) series with N >= 3 frames")
+    d2 = series[..., 2:, :] - series[..., 1:-1, :] * 2.0 + series[..., :-2, :]
+    return ad.mean(ad.abs_smooth(d2), axis=(-2, -1))
 
 
 def trajectory_joints(traj: TrajectoryParams, skeleton: HandSkeleton) -> np.ndarray:
@@ -174,14 +177,16 @@ def trajectory_joints(traj: TrajectoryParams, skeleton: HandSkeleton) -> np.ndar
 
 
 def _reprojection(joints, obs: SequenceObservation, norm: str):
-    """Mean masked pixel distance over every view.
+    """Mean masked pixel distance over every view, for joints (..., N, 21, 3);
+    the result has the batch shape (...).
 
     A landmark counts only when it is visible and strictly in front of the
-    camera. Raises DegenerateObservationError when none counts.
+    camera. Raises DegenerateObservationError when none counts in some batch
+    row.
     """
     if norm not in REPROJECTION_NORMS:
         raise ValueError(f"norm must be one of {REPROJECTION_NORMS}")
-    count = 0.0
+    count = 0.0  # per batch row
     total = None
     for vi, view in enumerate(obs.rig.views):
         u, v, in_front = cam.project_points_masked(joints, view)
@@ -194,10 +199,10 @@ def _reprojection(joints, obs: SequenceObservation, norm: str):
             dist = du * du + dv * dv
         else:
             dist = ad.abs_smooth(du) + ad.abs_smooth(dv)
-        count += mask.sum()
-        s = ad.sum(dist * mask)
+        count = count + mask.sum(axis=(-2, -1))
+        s = ad.sum(dist * mask, axis=(-2, -1))
         total = s if total is None else total + s
-    if count == 0.0:
+    if np.any(count == 0.0):
         raise DegenerateObservationError(
             "no landmark is visible and in front of a camera"
         )
@@ -212,6 +217,8 @@ def _live(x, weight):
 def _loss_terms(shape_vec, orients, positions, joint_rots, obs, skeleton, weights, norm):
     """The four unweighted terms, keyed by TERMS, and their weighted total.
 
+    Inputs are shaped as ``_split_flat`` returns them, joint rotations as
+    (..., N, 45), and every term and the total have the batch shape (...).
     A term with a nonzero weight is evaluated on the inputs as given, so it
     records when they are tape Tensors. A zero-weight term is evaluated on
     their plain values: it is still reported, but stays off the tape and out
@@ -223,8 +230,12 @@ def _loss_terms(shape_vec, orients, positions, joint_rots, obs, skeleton, weight
         "acce_orients": acceleration_loss(_live(orients, ws[1])),
         "acce_position": acceleration_loss(_live(positions, ws[2])),
     }
+    # Recorded after the acceleration terms, so the backward sweep adds FK's
+    # share of the joint-rotation gradient first: the refined bytes depend on
+    # that order of summation.
+    rots = ad.reshape(joint_rots, ad.value_of(joint_rots).shape[:-1] + (NUM_ARTICULATED, 3))
     joints = fk_joints(
-        skeleton, *(_live(x, ws[3]) for x in (shape_vec, orients, positions, joint_rots))
+        skeleton, *(_live(x, ws[3]) for x in (shape_vec, orients, positions, rots))
     )
     terms["loss_2d"] = _reprojection(joints, obs, norm)
     total = None
@@ -233,8 +244,9 @@ def _loss_terms(shape_vec, orients, positions, joint_rots, obs, skeleton, weight
             scaled = terms[name] * weight
             total = scaled if total is None else total + scaled
     if total is None:
-        # all weights zero: a constant +0.0 that still depends on the tape
-        total = ad.sum(orients * orients) * 0.0
+        # all weights zero: a constant +0.0 per batch row that still depends
+        # on the tape
+        total = ad.sum(orients * orients, axis=(-2, -1)) * 0.0
     return terms, total
 
 
@@ -258,7 +270,7 @@ def loss_components(
         traj.shape,
         traj.orients,
         traj.positions,
-        traj.joint_rotations,
+        traj.joint_rotations.reshape(traj.num_frames, 45),
         obs,
         skeleton,
         weights,
@@ -303,13 +315,15 @@ def make_flat_objective(
 ):
     """Objective over the flat parameter vector, for the tape and the
     finite-difference checker. The vector layout matches
-    ``TrajectoryParams.to_flat``. When ``terms_out`` is a dict, each
-    evaluation stores its four unweighted terms there as floats."""
+    ``TrajectoryParams.to_flat``. A (P,) vector, Tensor or array, gives a
+    scalar; a (B, P) block of plain vectors gives (B,) values, one per row.
+    When ``terms_out`` is a dict, each scalar evaluation stores its four
+    unweighted terms there as floats; block evaluations leave it alone."""
     n = obs.num_frames
 
     def objective(vec):
         terms, total = _loss_terms(*_split_flat(vec, n), obs, skeleton, weights, norm)
-        if terms_out is not None:
+        if terms_out is not None and ad.value_of(total).ndim == 0:
             terms_out.update(_floats(terms))
         return total
 

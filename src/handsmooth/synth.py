@@ -24,6 +24,10 @@ from .objective import SequenceObservation, TrajectoryParams, trajectory_joints
 # Keeps sampled motions inside plausible finger ranges.
 MAX_AMPLITUDE = (1.3, 1.7, 1.2)
 
+# The largest count numpy can size an array axis with; a larger num_frames or
+# num_views fails when the spec loads instead of during generation.
+_MAX_COUNT = np.iinfo(np.intp).max
+
 _MIRROR_AA = np.array([1.0, -1.0, -1.0])
 _MIRROR_POS = np.array([-1.0, 1.0, 1.0])
 _MIRROR_MAT = np.diag(_MIRROR_POS)
@@ -92,15 +96,29 @@ class RigSpec:
     center: np.ndarray | None = None  # None: mean wrist position
 
     def __post_init__(self):
-        if self.num_views < 1:
-            raise ValueError("num_views must be >= 1")
-        if self.radius <= 0:
-            raise ValueError("rig radius must be positive")
+        if not 1 <= self.num_views <= _MAX_COUNT:
+            raise ValueError(f"num_views must be in [1, {_MAX_COUNT}]")
+        if not (self.radius > 0 and np.isfinite(self.radius)):
+            raise ValueError("rig radius must be finite and positive")
+        if not np.isfinite(self.elevation):
+            raise ValueError("rig elevation must be finite")
+        self.intrinsics()  # fx, fy, width and height fail here, not in build_rig
         if self.center is not None:
             c = ad.readonly(self.center)
             if c.shape != (3,) or not np.all(np.isfinite(c)):
                 raise ValueError("center must be a finite 3-vector")
             object.__setattr__(self, "center", c)
+
+    def intrinsics(self) -> cam.Intrinsics:
+        """The pinhole intrinsics every view shares, centred on the image."""
+        return cam.Intrinsics(
+            fx=self.fx,
+            fy=self.fy,
+            cx=self.width / 2.0,
+            cy=self.height / 2.0,
+            width=self.width,
+            height=self.height,
+        )
 
 
 @dataclass(frozen=True)
@@ -124,8 +142,8 @@ class MotionSpec:
     rig: RigSpec = field(default_factory=RigSpec)
 
     def __post_init__(self):
-        if self.num_frames < 3:
-            raise ValueError("num_frames must be >= 3")
+        if not 3 <= self.num_frames <= _MAX_COUNT:
+            raise ValueError(f"num_frames must be in [3, {_MAX_COUNT}]")
         if self.fps <= 0 or not np.isfinite(self.fps):
             raise ValueError("fps must be positive")
         for name in ("amplitude", "frequency", "phase"):
@@ -189,14 +207,7 @@ def _look_at(cam_pos: np.ndarray, target: np.ndarray) -> cam.Extrinsics:
 def build_rig(spec: RigSpec, wrist_positions: np.ndarray) -> cam.CameraRig:
     """Cameras on a circle around the motion, all aimed at its center."""
     center = spec.center if spec.center is not None else wrist_positions.mean(axis=0)
-    intr = cam.Intrinsics(
-        fx=spec.fx,
-        fy=spec.fy,
-        cx=spec.width / 2.0,
-        cy=spec.height / 2.0,
-        width=spec.width,
-        height=spec.height,
-    )
+    intr = spec.intrinsics()
     views = []
     for i in range(spec.num_views):
         ang = 2.0 * np.pi * i / spec.num_views

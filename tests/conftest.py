@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import handsmooth as hs
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+GEN_FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_fixtures.py"
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +18,14 @@ def skeleton():
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES
+
+
+def load_gen_fixtures():
+    """The fixture generator ``tools/gen_fixtures.py``, imported as a module."""
+    spec = importlib.util.spec_from_file_location("gen_fixtures", GEN_FIXTURES)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def tiny_problem(num_frames=4, num_views=1, seed=0):

@@ -227,9 +227,23 @@ class TestDomainErrors:
         with pytest.raises(ValueError):
             ad.check_gradient(lambda x: ad.sum(x), np.ones(2), h=0.0)
 
+    def test_check_gradient_rejects_objective_without_batch_axis(self):
+        # summing every axis maps each (B, P) block to one scalar
+        with pytest.raises(ValueError, match=r"block to shape \(6,\), got \(\)"):
+            ad.check_gradient(lambda x: ad.sum(x * x), np.ones(3))
+
+
+def lead(x):
+    """The batch axes of a flat (..., P) input: () on the tape, (B,) for the
+    blocks check_gradient evaluates."""
+    return ad.value_of(x).shape[:-1]
+
 
 class TestFiniteDifferenceAgreement:
-    """AD against central finite differences on composites covering every op."""
+    """AD against central finite differences on composites covering every op.
+
+    check_gradient hands each objective (B, P) blocks of perturbed points, so
+    every composite keeps leading axes and reduces over the trailing ones."""
 
     def assert_matches_fd(self, fn, x, tol=1e-6):
         err = ad.check_gradient(fn, np.asarray(x, dtype=float))
@@ -239,13 +253,13 @@ class TestFiniteDifferenceAgreement:
         rng = np.random.default_rng(0)
 
         def fn(x):
-            return ad.sum(ad.sin(x) * ad.cos(x * 0.5) + ad.exp(x * 0.1))
+            return ad.sum(ad.sin(x) * ad.cos(x * 0.5) + ad.exp(x * 0.1), axis=-1)
 
         self.assert_matches_fd(fn, rng.normal(size=6))
 
     def test_abs_smooth_away_from_zero(self):
         def fn(x):
-            return ad.sum(ad.abs_smooth(x))
+            return ad.sum(ad.abs_smooth(x), axis=-1)
 
         self.assert_matches_fd(fn, [0.5, -1.25, 2.0, -0.75])
 
@@ -253,9 +267,9 @@ class TestFiniteDifferenceAgreement:
         a = np.arange(6.0).reshape(2, 3) * 0.1 + 0.3
 
         def fn(x):
-            m = ad.reshape(x, (3, 2))
+            m = ad.reshape(x, lead(x) + (3, 2))
             prod = ad.matmul(a, m)
-            return ad.sum(prod * prod)
+            return ad.sum(prod * prod, axis=(-2, -1))
 
         self.assert_matches_fd(fn, np.linspace(0.2, 1.3, 6))
 
@@ -263,30 +277,31 @@ class TestFiniteDifferenceAgreement:
         b = np.linspace(-0.4, 0.9, 12).reshape(4, 3)[None]  # (1, 4, 3)
 
         def fn(x):
-            m = ad.reshape(x, (2, 3, 3))
-            return ad.sum(ad.matmul(b, m))
+            m = ad.reshape(x, lead(x) + (2, 3, 3))
+            return ad.sum(ad.matmul(b, m), axis=(-3, -2, -1))
 
         self.assert_matches_fd(fn, np.linspace(0.1, 1.8, 18))
 
     def test_stack_and_concat(self):
         def fn(x):
-            s = ad.stack([x * 2.0, x + 1.0], axis=0)
-            c = ad.concat([s, np.ones((1, 3))], axis=0)
-            return ad.sum(c * c)
+            s = ad.stack([x * 2.0, x + 1.0], axis=-2)
+            c = ad.concat([s, np.ones(lead(x) + (1, 3))], axis=-2)
+            return ad.sum(c * c, axis=(-2, -1))
 
         self.assert_matches_fd(fn, [0.3, -0.8, 1.1])
 
     def test_sum_with_axis_and_division(self):
         def fn(x):
-            m = ad.reshape(x, (2, 4))
-            row = ad.sum(m, axis=1)
-            return ad.sum(row / (ad.sum(m * m) + 1.0))
+            m = ad.reshape(x, lead(x) + (2, 4))
+            row = ad.sum(m, axis=-1)
+            norm = ad.sum(ad.sum(m * m, axis=-1), axis=-1, keepdims=True)
+            return ad.sum(row / (norm + 1.0), axis=-1)
 
         self.assert_matches_fd(fn, np.linspace(-1.0, 1.5, 8))
 
     def test_sqrt_positive(self):
         def fn(x):
-            return ad.sum(ad.sqrt(x * x + 1.0))
+            return ad.sum(ad.sqrt(x * x + 1.0), axis=-1)
 
         self.assert_matches_fd(fn, [0.7, -1.3, 2.4])
 

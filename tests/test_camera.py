@@ -24,6 +24,47 @@ def random_view(rng):
     return (intr, extr)
 
 
+# Extrinsics accepts a rotation when every entry of R^T R is within
+# 1e-9 + 1e-5 * |I| of the identity (1e-9 off the diagonal) and when
+# |det R - 1| <= 1e-9 + 1e-5. Each matrix below sits 1 % inside or outside one
+# of these tolerances, and within the other.
+ORTHO_TOL = 1e-9 + 1e-5
+DET_TOL = 1e-9 + 1e-5
+
+
+def stretched(d):
+    """diag(1, 1, s) with s^2 = 1 + d: (R^T R)[2, 2] - 1 = d, det - 1 ~ d / 2."""
+    return np.diag([1.0, 1.0, np.sqrt(1.0 + d)])
+
+
+def sheared(e):
+    """(R^T R)[0, 1] = e exactly, and det = 1."""
+    r = np.eye(3)
+    r[0, 1] = e
+    return r
+
+
+def scaled(d):
+    """s * I with s^3 = 1 + d: det - 1 ~ d, (R^T R) - I ~ 2 d / 3 on the diagonal."""
+    return np.cbrt(1.0 + d) * np.eye(3)
+
+
+EXTRINSICS_BOUNDARY = [
+    (stretched(0.99 * ORTHO_TOL), None),
+    (stretched(-0.99 * ORTHO_TOL), None),
+    (stretched(1.01 * ORTHO_TOL), "orthonormal"),
+    (stretched(-1.01 * ORTHO_TOL), "orthonormal"),
+    (sheared(0.99e-9), None),
+    (sheared(-0.99e-9), None),
+    (sheared(1.01e-9), "orthonormal"),
+    (sheared(-1.01e-9), "orthonormal"),
+    (scaled(0.99 * DET_TOL), None),
+    (scaled(-0.99 * DET_TOL), None),
+    (scaled(1.01 * DET_TOL), "determinant"),
+    (scaled(-1.01 * DET_TOL), "determinant"),
+]
+
+
 def unproject(uv, depth, view):
     """Test-side inverse of project: pixel + depth back to world."""
     intr, extr = view
@@ -93,12 +134,13 @@ class TestMaskedProjection:
         target = np.array([300.0, 200.0])
 
         def objective(flat):
-            pts = ad.reshape(flat, (1, 2, 3))
+            # (..., 6) -> (..., 1, 2, 3): check_gradient also passes blocks
+            pts = ad.reshape(flat, ad.value_of(flat).shape[:-1] + (1, 2, 3))
             u, v, in_front = hs.project_points_masked(pts, view)
             mask = in_front.astype(float)
             du = u - target[0]
             dv = v - target[1]
-            return ad.sum((du * du + dv * dv) * mask)
+            return ad.sum((du * du + dv * dv) * mask, axis=(-2, -1))
 
         # one point in front, one behind; FD and AD must agree (mask constant)
         flat = np.array([0.1, 0.05, 0.8, 0.2, 0.1, -0.5])
@@ -121,6 +163,17 @@ class TestValidation:
         refl = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             hs.Extrinsics(rotation=refl, translation=np.zeros(3))
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("matrix, rejected_for", EXTRINSICS_BOUNDARY)
+    def test_extrinsics_tolerance_boundaries(self, matrix, rejected_for, rotated):
+        if rotated:
+            matrix = Rotation.from_rotvec([0.3, -1.1, 0.7]).as_matrix() @ matrix
+        if rejected_for is None:
+            hs.Extrinsics(rotation=matrix, translation=np.zeros(3))
+        else:
+            with pytest.raises(ValueError, match=rejected_for):
+                hs.Extrinsics(rotation=matrix, translation=np.zeros(3))
 
     def test_rig_requires_a_view(self):
         with pytest.raises(ValueError):

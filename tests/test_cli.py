@@ -83,6 +83,29 @@ class TestGenerate:
         assert main(["generate", str(motion), str(noise), str(tmp_path / "out.json")]) == 1
         assert capsys.readouterr().err == f"error: {noise}: seed must be >= 0\n"
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("fx", -1, "focal lengths must be positive"),
+            ("fy", 0.0, "focal lengths must be positive"),
+            ("width", 0, "image size must be positive"),
+            ("height", -1, "image size must be positive"),
+            ("width", 10**400, "int too large to convert to float"),
+            ("num_views", 10**400, "num_views must be in"),
+        ],
+        ids=["fx", "fy", "width", "height", "huge-width", "huge-num_views"],
+    )
+    def test_bad_rig_value_exits_1_naming_its_key(
+        self, specs, tmp_path, capsys, key, value, message
+    ):
+        motion, noise = specs
+        spec = read_json(motion)
+        spec["rig"][key] = value
+        motion.write_text(json.dumps(spec))
+        assert main(["generate", str(motion), str(noise), str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {motion}.rig: {message}")
+        assert not (tmp_path / "out.json").exists()
+
     def test_negative_seed_flag_exits_1(self, specs, tmp_path, capsys):
         motion, noise = specs
         with pytest.raises(SystemExit) as exc:

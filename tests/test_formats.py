@@ -1,15 +1,16 @@
 """File formats: JSON schemas, round trips, and error reporting."""
 
-import importlib.util
+import contextlib
+import io
 import json
-import pathlib
 import re
 
 import numpy as np
 import pytest
 
 import handsmooth as hs
-from handsmooth.errors import SchemaError
+from handsmooth.cli import build_parser
+from handsmooth.errors import SchemaError, SpecError
 from handsmooth.formats import (
     SEQUENCE_SCHEMA_VERSION,
     SequenceFile,
@@ -25,9 +26,7 @@ from handsmooth.hand_model import DEFAULT_MODEL
 from handsmooth.metrics import MetricReport
 from handsmooth.smoother import LossEntry
 
-from conftest import constant_velocity_motion, exact_sequence
-
-GEN_FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "tools" / "gen_fixtures.py"
+from conftest import FIXTURES, constant_velocity_motion, exact_sequence, load_gen_fixtures
 
 
 def make_sequence_file(num_frames=4, with_gt=True):
@@ -60,6 +59,24 @@ class TestDumpJson:
         text = path.read_text()
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
+
+    def test_streamed_text_equals_dumps(self, tmp_path):
+        # tens of thousands of encoder chunks: several write batches
+        obj = {"z": [[i / 7.0, -i] for i in range(20000)], "a": {"k": None, "b": True}}
+        path = tmp_path / "out.json"
+        dump_json(obj, path)
+        expected = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(float("nan"), ValueError), (float("inf"), ValueError), (object(), TypeError)],
+    )
+    def test_rejects_value_and_leaves_no_file(self, tmp_path, bad, error):
+        path = tmp_path / "bad.json"
+        with pytest.raises(error):
+            dump_json({"a": list(range(50000)), "x": bad}, path)
+        assert not path.exists()
 
     def test_rejects_nan(self, tmp_path):
         with pytest.raises(ValueError):
@@ -108,12 +125,13 @@ class TestFixturesLoad:
         assert record_to_dict(report) == d
 
     def test_generator_reproduces_every_fixture_byte_for_byte(self, fixtures_dir, tmp_path):
-        spec = importlib.util.spec_from_file_location("gen_fixtures", GEN_FIXTURES)
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
+        gen = load_gen_fixtures()
         gen.main(tmp_path)
+        # main() writes seven fixtures; the eighth, the gradient oracle, is
+        # recorded once and never regenerated, so it is not compared here
         committed = sorted(p.name for p in fixtures_dir.iterdir())
-        assert len(committed) == 7
+        assert len(committed) == 8 and gen.GRADIENT_ORACLE in committed
+        committed.remove(gen.GRADIENT_ORACLE)
         assert sorted(p.name for p in tmp_path.iterdir()) == committed
         for name in committed:
             assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
@@ -314,6 +332,17 @@ def mutated(doc, path, value):
     return json.dumps(doc).replace('"__1e400__"', "1e400")
 
 
+def generate(motion_path, out_dir):
+    """Run ``handsmooth generate`` on a motion spec with the demo noise spec,
+    letting its exception out instead of mapping it to an exit code."""
+    noise = FIXTURES / "noise_demo.json"
+    args = build_parser().parse_args(
+        ["generate", str(motion_path), str(noise), str(out_dir / "generated.json")]
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        return args.func(args)
+
+
 class TestMutationSweep:
     @pytest.mark.parametrize("name, load, is_spec", MUTATION_INPUTS)
     def test_every_mutation_loads_or_names_its_key(
@@ -321,7 +350,9 @@ class TestMutationSweep:
     ):
         """Each mutated copy of an input fixture either loads or raises a
         SchemaError that starts with the file path; a spec's error also names
-        the mutated top-level key."""
+        the mutated top-level key. A motion spec that loads is also run
+        through ``generate``, which must write its sequence or raise
+        SpecError (a well-formed scene that no camera can render)."""
         doc = read_json(fixtures_dir / name)
         path = tmp_path / name
         escapes = []
@@ -336,4 +367,13 @@ class TestMutationSweep:
                         escapes.append((keys, value, str(e)))
                 except Exception as e:  # noqa: BLE001 - every escape is a finding
                     escapes.append((keys, value, repr(e)))
+                else:
+                    if load is not hs.load_motion_spec:
+                        continue
+                    try:
+                        generate(path, tmp_path)
+                    except SpecError:
+                        pass
+                    except Exception as e:  # noqa: BLE001
+                        escapes.append((keys, value, f"generate: {e!r}"))
         assert not escapes, f"{len(escapes)} escapes, first: {escapes[:3]}"

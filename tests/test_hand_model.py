@@ -122,7 +122,7 @@ class TestRotations:
         weights = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
 
         def fn(p):
-            return ad.sum(rotation_matrices(ad.reshape(p, (1, 3))) * weights)
+            return ad.sum(rotation_matrices(p) * weights, axis=(-2, -1))
 
         assert ad.check_gradient(fn, theta * axis) < 1e-9
 

@@ -1,16 +1,18 @@
 """Composite loss: acceleration terms, reprojection term, weighting,
 parameter flattening, and invariances."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 import handsmooth as hs
 from handsmooth.errors import DegenerateObservationError
-from handsmooth.formats import trajectory_from_dict, trajectory_to_dict
-from handsmooth.objective import acceleration_loss
+from handsmooth.formats import read_json, trajectory_from_dict, trajectory_to_dict
+from handsmooth.objective import TERMS, acceleration_loss
 
-from conftest import constant_velocity_motion, exact_sequence
+from conftest import constant_velocity_motion, exact_sequence, load_gen_fixtures
 
 
 def reprojection_oracle(traj, obs, skeleton):
@@ -42,12 +44,12 @@ class TestAccelerationLoss:
         assert abs(float(acceleration_loss(series))) <= 1e-8
 
     def test_unit_spike_is_one(self):
-        value = float(acceleration_loss(np.array([0.0, 0.0, 1.0])))
+        value = float(acceleration_loss(np.array([[0.0], [0.0], [1.0]])))
         assert abs(value - 1.0) <= 1.01e-8
 
     def test_hand_computed_mean(self):
         # second differences: [1, -2]; smoothed |.| mean ~ 1.5
-        series = np.array([0.0, 0.0, 1.0, 0.0])
+        series = np.array([[0.0], [0.0], [1.0], [0.0]])
         value = float(acceleration_loss(series))
         assert abs(value - 1.5) <= 1.01e-8
 
@@ -216,6 +218,98 @@ class TestTotalLoss:
             hs.total_loss(traj, obs, skeleton), rel=1e-12
         )
         assert grad.shape == traj.to_flat().shape
+
+
+# (seed, view hidden in every frame, weights, norm) of random_problem(5, 2, seed)
+BLOCK_CASES = (
+    [(seed, None, hs.LossWeights(), "l2") for seed in range(5)]
+    + [(0, 1, hs.LossWeights(), "l2")]
+    + [(1, None, hs.LossWeights(), norm) for norm in ("l2_squared", "l1")]
+    + [
+        (2, None, hs.LossWeights(acce_orients=0.0), "l2"),
+        (3, None, hs.LossWeights(reprojection=0.0), "l2"),
+        (4, None, hs.LossWeights(0.0, 0.0, 0.0, 0.0), "l2"),
+    ]
+)
+
+
+def block_around(flat, seed):
+    """Nine points near ``flat``: itself, four single-coordinate steps like
+    check_gradient's, and four random moves of every coordinate."""
+    rng = np.random.default_rng(seed)
+    block = np.tile(flat, (9, 1))
+    for row, (i, step) in enumerate([(0, 1e-6), (0, -1e-6), (37, 1e-6), (-1, -1e-6)], 1):
+        block[row, i] += step
+    block[5:] += rng.normal(0.0, 1e-2, (4, flat.size))
+    return block
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("seed, hidden, weights, norm", BLOCK_CASES)
+    def test_block_rows_equal_scalar_calls_bitwise(self, seed, hidden, weights, norm):
+        traj, obs, skeleton = hs.random_problem(5, 2, seed)
+        if hidden is not None:
+            visibility = obs.visibility.copy()
+            visibility[:, hidden] = False
+            obs = replace(obs, visibility=visibility)
+        objective = hs.make_flat_objective(obs, skeleton, weights, norm)
+        block = block_around(traj.to_flat(), seed)
+        values = objective(block)
+        assert values.shape == (len(block),)
+        for i, row in enumerate(block):
+            assert np.asarray(objective(row)).tobytes() == values[i].tobytes(), i
+
+    def test_terms_out_is_filled_by_scalar_passes_only(self, skeleton):
+        traj, obs, _ = hs.random_problem(5, 2, 0)
+        terms = {}
+        objective = hs.make_flat_objective(obs, skeleton, terms_out=terms)
+        objective(block_around(traj.to_flat(), 0))
+        assert terms == {}
+        objective(traj.to_flat())
+        assert sorted(terms) == sorted(TERMS)
+
+    def test_row_where_nothing_counts_raises(self, skeleton):
+        # 100 m above the rig, every joint is behind both cameras
+        traj, obs, _ = hs.random_problem(5, 2, 0)
+        objective = hs.make_flat_objective(obs, skeleton)
+        flat = traj.to_flat()
+        lifted = replace(traj, positions=traj.positions + [0.0, 0.0, 100.0]).to_flat()
+        assert objective(np.stack([flat, flat])).shape == (2,)
+        with pytest.raises(DegenerateObservationError):
+            objective(lifted)
+        with pytest.raises(DegenerateObservationError):
+            objective(np.stack([flat, lifted, flat]))
+
+    def test_acceleration_over_a_batch_of_series(self):
+        series = np.random.default_rng(1).normal(0.0, 0.3, (4, 6, 5))
+        values = acceleration_loss(series)
+        assert values.shape == (4,)
+        for i in range(4):
+            assert float(acceleration_loss(series[i])) == values[i]
+
+
+class TestGradientOracle:
+    def test_loss_terms_and_gradient_match_the_oracle(self, fixtures_dir):
+        """The committed oracle was recorded once, before any change that
+        reorders floating point; it is never regenerated to make a change
+        pass. Terms agree within 1e-12 relative, the gradient within
+        1e-9 * max(1, |g|)."""
+        gen = load_gen_fixtures()
+        oracle = read_json(fixtures_dir / gen.GRADIENT_ORACLE)
+        cases = list(gen.gradient_oracle_cases())
+        assert [case[0] for case in cases] == list(oracle)
+        for name, obs, skeleton, flat in cases:
+            got = gen.gradient_oracle_entry(obs, skeleton, flat)
+            want = oracle[name]
+            assert sorted(got["terms"]) == sorted(want["terms"]) == sorted(TERMS), name
+            pairs = [("loss", got["loss"], want["loss"])] + [
+                (term, got["terms"][term], want["terms"][term]) for term in TERMS
+            ]
+            for label, value, expected in pairs:
+                assert abs(value - expected) <= 1e-12 * abs(expected), (name, label)
+            g = np.asarray(want["gradient"])
+            err = np.abs(np.asarray(got["gradient"]) - g) / np.maximum(1.0, np.abs(g))
+            assert err.shape == g.shape and err.max() <= 1e-9, (name, err.max())
 
 
 class TestTrajectoryParams:

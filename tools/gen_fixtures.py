@@ -3,6 +3,11 @@
 Every artifact is deterministic: fixed specs, fixed seeds, deterministic
 JSON serialization. Run from the repository root after installing the
 package: python3 tools/gen_fixtures.py [OUT_DIR]
+
+``main`` writes seven fixtures. The gradient oracle is separate: its writer,
+``write_gradient_oracle``, is not called by ``main``, because the oracle
+records the gradients of one commit and a later change is checked against
+it, not regenerated to match.
 """
 
 import pathlib
@@ -98,6 +103,45 @@ def small_sequence() -> hs.SequenceFile:
     return hs.SequenceFile.for_model(
         hs.DEFAULT_MODEL, skeleton, init, obs, ground_truth=gt
     )
+
+
+GRADIENT_ORACLE = "gradient_oracle.json"
+
+
+def gradient_oracle_cases():
+    """(name, observations, skeleton, flat point) of each oracle case:
+    ``random_problem(5, 2, s)`` for s = 0..4, then the init of
+    ``sequence_small.json``."""
+    for seed in range(5):
+        traj, obs, skeleton = hs.random_problem(5, 2, seed)
+        yield f"random_problem(5, 2, {seed})", obs, skeleton, traj.to_flat()
+    seq = formats.load_sequence(FIXTURES / "sequence_small.json")
+    yield "sequence_small.json init", seq.observations, seq.skeleton, seq.init.to_flat()
+
+
+def gradient_oracle_entry(obs, skeleton, flat) -> dict:
+    """The loss, its four unweighted terms and the full flat gradient of the
+    default objective at ``flat``, from one tape pass."""
+    terms = {}
+    objective = hs.make_flat_objective(obs, skeleton, terms_out=terms)
+    loss, grad = hs.record_and_backprop(objective, flat)
+    return {"loss": loss, "terms": terms, "gradient": grad.tolist()}
+
+
+def write_gradient_oracle(out_dir=FIXTURES):
+    """Write every oracle case's entry to ``gradient_oracle.json``. Run once,
+    from the repository root:
+    python3 -c "import sys; sys.path[:0] = ['src', 'tools']; import gen_fixtures as g; g.write_gradient_oracle()"
+    """
+    out = pathlib.Path(out_dir) / GRADIENT_ORACLE
+    formats.dump_json(
+        {
+            name: gradient_oracle_entry(obs, skeleton, flat)
+            for name, obs, skeleton, flat in gradient_oracle_cases()
+        },
+        out,
+    )
+    print(f"wrote {out} ({out.stat().st_size} bytes)")
 
 
 def main(out_dir=FIXTURES):
