@@ -29,8 +29,10 @@ leaf parameter vector. Each node points back at its tape, so
 objective raises): its nodes are then freed by reference counting, without
 waiting for the cyclic garbage collector.
 
-Indexing supports basic numpy indexing only (ints, slices, ellipsis); the
-gradient scatter assumes non-overlapping selections.
+Indexing supports basic numpy indexing (ints, slices, ellipsis) and integer
+arrays of distinct, non-negative indices. The gradient scatter adds into each
+selected element once, so :func:`getitem` rejects an integer array that could
+select an element twice.
 """
 
 from __future__ import annotations
@@ -310,6 +312,13 @@ def mean(x, axis=None):
 
 
 def getitem(x, idx):
+    for key in idx if isinstance(idx, tuple) else (idx,):
+        if isinstance(key, (list, np.ndarray)):
+            flat = np.asarray(key).ravel()
+            if flat.dtype.kind in "iu" and (
+                np.any(flat < 0) or len(set(flat.tolist())) < flat.size
+            ):
+                raise ValueError("integer-array indices must be distinct and non-negative")
     return _record(value_of(x)[idx], _getitem_vjp, (x,), idx)
 
 

@@ -21,6 +21,7 @@ from .errors import ModelFileError
 NUM_JOINTS = 21
 NUM_ARTICULATED = 15
 NUM_SHAPE_PARAMS = 10
+NUM_FINGERS = 5
 CHAIN_LENGTH = 4
 
 DEFAULT_MODEL = "hand_model_v1"
@@ -67,45 +68,35 @@ class HandSkeleton:
         children = [[] for _ in range(NUM_JOINTS)]
         for j in range(1, NUM_JOINTS):
             children[parents[j]].append(j)
-        if len(children[0]) != 5:
+        if len(children[0]) != NUM_FINGERS:
             raise ValueError("the wrist must have exactly 5 finger chains")
+        chains = []
         for base in children[0]:
-            j, depth = base, 1
-            while children[j]:
-                if len(children[j]) != 1:
+            chain = [base]
+            while children[chain[-1]]:
+                if len(children[chain[-1]]) != 1:
                     raise ValueError("finger chains must be linear")
-                j = children[j][0]
-                depth += 1
-            if depth != CHAIN_LENGTH:
+                chain.append(children[chain[-1]][0])
+            if len(chain) != CHAIN_LENGTH:
                 raise ValueError("each finger chain must have 4 joints")
+            chains.append(chain)
         if not (np.all(np.isfinite(offsets)) and np.all(np.isfinite(basis))):
             raise ValueError("model arrays must be finite")
         if np.any(np.linalg.norm(offsets[1:], axis=1) <= 0.0):
             raise ValueError("non-root rest offsets must have positive length")
         if np.any(np.linalg.norm(basis, axis=1) > _MAX_BASIS_ROW_NORM + 1e-12):
             raise ValueError("shape basis row norms must be <= 0.1")
-        tips = tuple(j for j in range(NUM_JOINTS) if not children[j])
-        articulated = tuple(
-            j for j in range(1, NUM_JOINTS) if j not in tips
-        )
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "rest_offsets", offsets)
         object.__setattr__(self, "shape_basis", basis)
-        object.__setattr__(self, "_fingertips", tips)
-        object.__setattr__(self, "_articulated", articulated)
+        object.__setattr__(self, "_chains", ad.readonly(chains, dtype=int))
 
     @property
-    def joint_count(self) -> int:
-        return NUM_JOINTS
-
-    @property
-    def fingertips(self) -> tuple:
-        return self._fingertips
-
-    @property
-    def articulated_joints(self) -> tuple:
-        """Joint indices that carry rotation parameters, in parameter order."""
-        return self._articulated
+    def chains(self) -> np.ndarray:
+        """Read-only (5, 4) joint table: row f is one finger's chain from its
+        base joint to its tip, rows in order of base joint. The joints of
+        columns 0-2 carry rotation parameters, in increasing joint order."""
+        return self._chains
 
 
 def canonicalize_axis_angle(aa: np.ndarray) -> np.ndarray:
@@ -176,23 +167,46 @@ def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations)
     for one sequence). Any argument may be a tape Tensor. Joint j sits at
     parent + parent_world_rotation @ (scale_j * rest_offset_j); a joint's own
     rotation only affects its descendants, and fingertips carry none.
+
+    The five chains of ``skeleton.chains`` are walked by depth. The base
+    joints go one finger at a time, so the backward sweep sums the wrist's
+    gradient finger by finger, in the order a per-joint walk would; each
+    deeper level is one op per step over all five fingers.
     """
+    chains = skeleton.chains
+    # rotation slot of each articulated joint: slot 0 is the wrist's, then
+    # joint order (sorted in Python: a first call of numpy's sort pages in
+    # code that adds to a run's peak RSS)
+    articulated = sorted(chains[:, :-1].ravel().tolist())
+    slots = np.array([[articulated.index(j) + 1 for j in c[:-1]] for c in chains.tolist()])
     scales = bone_scales(skeleton, beta)
     lead = ad.value_of(orients).shape[:-1]  # (..., N)
     aa_all = ad.concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
     rots = rotation_matrices(aa_all)  # (..., N, 16, 3, 3)
-    slot = {j: k + 1 for k, j in enumerate(skeleton.articulated_joints)}
-    world_rot = {0: rots[..., 0, :, :]}
-    world_pos = {0: positions}
-    for j in range(1, NUM_JOINTS):
-        p = int(skeleton.parents[j])
-        offset = scales[..., j : j + 1] * skeleton.rest_offsets[j]  # (..., 3)
-        rp = world_rot[p]
-        step = ad.reshape(offset, lead[:-1] + (1, 1, 3))
-        world_pos[j] = world_pos[p] + ad.sum(rp * step, axis=-1)
-        if j in slot:
-            world_rot[j] = ad.matmul(rp, rots[..., slot[j], :, :])
-    return ad.stack([world_pos[j] for j in range(NUM_JOINTS)], axis=-2)
+    offsets = ad.reshape(scales, lead[:-1] + (NUM_JOINTS, 1)) * skeleton.rest_offsets
+    wrist_rot = rots[..., 0, :, :]
+    pos, rot = [], []
+    for base, slot in zip(chains[:, 0], slots[:, 0]):
+        step = ad.reshape(offsets[..., base, :], lead[:-1] + (1, 1, 3))
+        pos.append(positions + ad.sum(wrist_rot * step, axis=-1))
+        rot.append(ad.matmul(wrist_rot, rots[..., slot, :, :]))
+    pos = ad.stack(pos, axis=-2)  # (..., N, 5, 3)
+    rot = ad.stack(rot, axis=-3)  # (..., N, 5, 3, 3)
+    levels = [pos]
+    for depth in range(1, CHAIN_LENGTH):
+        step = offsets[..., chains[:, depth], :]
+        step = ad.reshape(step, lead[:-1] + (1, NUM_FINGERS, 1, 3))
+        pos = pos + ad.sum(rot * step, axis=-1)
+        levels.append(pos)
+        if depth < CHAIN_LENGTH - 1:
+            rot = ad.matmul(rot, rots[..., slots[:, depth], :, :])
+    # finger-major, like the table: joints in the order 0, chains.ravel()
+    fingers = ad.reshape(ad.stack(levels, axis=-2), lead + (NUM_JOINTS - 1, 3))
+    joints = ad.concat([ad.reshape(positions, lead + (1, 3)), fingers], axis=-2)
+    order = np.concatenate(([0], chains.ravel()))
+    if np.any(order != np.arange(NUM_JOINTS)):
+        joints = joints[..., np.argsort(order), :]
+    return joints
 
 
 # ----- model file -----

@@ -161,6 +161,11 @@ def acceleration_loss(series):
     batch row it equals sum_t |x_t - 2 x_{t-1} + x_{t-2}| / ((N - 2) * D),
     using the smoothed absolute value, so a constant or constant-velocity
     series scores 0 and gradients exist there.
+
+    The terms on wrist orients and positions are not invariant under a
+    rotation of the world and rig, by construction: the first takes second
+    differences of world axis-angle vectors, and the second smooths |.| per
+    world coordinate. The pose term and the reprojection term are invariant.
     """
     shape = ad.value_of(series).shape
     if len(shape) < 2 or shape[-2] < MIN_FRAMES:
@@ -312,17 +317,23 @@ def make_flat_objective(
     weights: LossWeights = LossWeights(),
     norm: str = "l2",
     terms_out: dict | None = None,
+    optimize_shape: bool = True,
 ):
     """Objective over the flat parameter vector, for the tape and the
     finite-difference checker. The vector layout matches
     ``TrajectoryParams.to_flat``. A (P,) vector, Tensor or array, gives a
     scalar; a (B, P) block of plain vectors gives (B,) values, one per row.
     When ``terms_out`` is a dict, each scalar evaluation stores its four
-    unweighted terms there as floats; block evaluations leave it alone."""
+    unweighted terms there as floats; block evaluations leave it alone.
+    Without ``optimize_shape`` the shape block is read as a plain value: it
+    stays off the tape, and its gradient is exactly 0."""
     n = obs.num_frames
 
     def objective(vec):
-        terms, total = _loss_terms(*_split_flat(vec, n), obs, skeleton, weights, norm)
+        shape_vec, *frames = _split_flat(vec, n)
+        if not optimize_shape:
+            shape_vec = ad.value_of(shape_vec)
+        terms, total = _loss_terms(shape_vec, *frames, obs, skeleton, weights, norm)
         if terms_out is not None and ad.value_of(total).ndim == 0:
             terms_out.update(_floats(terms))
         return total

@@ -193,11 +193,9 @@ def smooth(
     n = initial.num_frames
     terms = {}  # the unweighted terms of the latest recorded pass
     objective = make_flat_objective(
-        obs, skeleton, config.weights, config.reprojection_norm, terms
+        obs, skeleton, config.weights, config.reprojection_norm, terms,
+        config.optimize_shape,
     )
-    frozen = np.zeros(flat0.size, dtype=bool)
-    if not config.optimize_shape:
-        frozen[:NUM_SHAPE_PARAMS] = True
     params = flat0.copy()
     state = AdamWState.zeros(flat0.size)
     report = LossReport()
@@ -227,9 +225,11 @@ def smooth(
         snapshot(it, dict(terms, total=loss))
         if it % 100 == 0:
             log.debug("iteration %d total %.6g", it, loss)
-        grad[frozen] = 0.0
         params, state = adamw_step(params, grad, state, cosine_lr(it, config), config)
-        params[frozen] = flat0[frozen]  # weight decay must not move frozen params
+        if not config.optimize_shape:
+            # a frozen shape is off the tape, so its gradient is 0, but weight
+            # decay would still move it
+            params[:NUM_SHAPE_PARAMS] = flat0[:NUM_SHAPE_PARAMS]
 
     refined = TrajectoryParams.from_flat(params, n)
     snapshot(

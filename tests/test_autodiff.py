@@ -52,6 +52,7 @@ PRIMITIVE_CASES = [
     ("sum axis", lambda a: ad.sum(a, axis=-1, keepdims=True), (X,)),
     ("mean", ad.mean, (X,)),
     ("getitem", lambda a: ad.getitem(a, (slice(None), 1)), (X,)),
+    ("getitem int array", lambda a: ad.getitem(a, (Ellipsis, np.array([1, 0]))), (X,)),
     ("stack", lambda a, b: ad.stack([a, b, P], axis=-1), (X, Y)),
     ("concat", lambda a, b: ad.concat([P, a, b], axis=1), (X, Y)),
 ]
@@ -105,6 +106,12 @@ class TestHandComputedGradients:
         value, grad = backprop(lambda x: ad.sum(x[1:3]), np.arange(4.0))
         assert value == 3.0
         assert grad.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+    def test_getitem_integer_array_scatters(self):
+        weights = np.array([1.0, 10.0, 100.0])
+        value, grad = backprop(lambda x: ad.sum(x[np.array([2, 0, 3])] * weights), np.arange(4.0))
+        assert value == 2.0 + 0.0 + 300.0
+        assert grad.tolist() == [10.0, 0.0, 1.0, 100.0]
 
     def test_getitem_reuse_accumulates(self):
         value, grad = backprop(lambda x: x[0] + x[0], [1.5])
@@ -223,6 +230,21 @@ class TestDomainErrors:
             backprop(lambda x: ad.sum(ad.sqrt(x)), [-1.0])
         assert err.value.op == "sqrt"
 
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.array([1, 1]),
+            [0, 2, 0],
+            (Ellipsis, np.array([[0, 1], [1, 2]])),
+            np.array([2, -1]),  # -1 is 2 again on this axis
+        ],
+    )
+    def test_getitem_rejects_index_that_could_repeat(self, idx):
+        # the scatter VJP would add one of the two gradients and drop the other
+        for x in (np.arange(3.0), ad.Tensor(np.arange(3.0), ad.Tape())):
+            with pytest.raises(ValueError, match="distinct and non-negative"):
+                ad.getitem(x, idx)
+
     def test_check_gradient_rejects_bad_step(self):
         with pytest.raises(ValueError):
             ad.check_gradient(lambda x: ad.sum(x), np.ones(2), h=0.0)
@@ -289,6 +311,13 @@ class TestFiniteDifferenceAgreement:
             return ad.sum(c * c, axis=(-2, -1))
 
         self.assert_matches_fd(fn, [0.3, -0.8, 1.1])
+
+    def test_integer_array_getitem(self):
+        def fn(x):
+            picked = ad.reshape(x, lead(x) + (2, 4))[..., np.array([3, 0, 2]), None]
+            return ad.sum(ad.sin(picked) * np.array([[1.0, -2.0, 0.5]]), axis=(-3, -2, -1))
+
+        self.assert_matches_fd(fn, np.linspace(-1.0, 1.5, 8))
 
     def test_sum_with_axis_and_division(self):
         def fn(x):

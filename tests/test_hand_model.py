@@ -40,15 +40,38 @@ def fk_oracle(skeleton, beta, orient, position, joint_rotations):
     scales = np.exp(skeleton.shape_basis @ beta)
     rot = {0: Rotation.from_rotvec(orient).as_matrix()}
     pos = {0: np.array(position, dtype=float)}
-    slot = {j: k for k, j in enumerate(skeleton.articulated_joints)}
-    for j in range(1, skeleton.joint_count):
+    slot = {j: k for k, j in enumerate(np.sort(skeleton.chains[:, :-1], axis=None))}
+    for j in range(1, 21):
         parent = skeleton.parents[j]
         offset = scales[j] * skeleton.rest_offsets[j]
         pos[j] = pos[parent] + rot[parent] @ offset
         if j in slot:
             aa = joint_rotations[slot[j]]
             rot[j] = rot[parent] @ Rotation.from_rotvec(aa).as_matrix()
-    return np.stack([pos[j] for j in range(skeleton.joint_count)])
+    return np.stack([pos[j] for j in range(21)])
+
+
+def fk_reference(skeleton, beta, orients, positions, joint_rotations):
+    """FK by a walk over the joints, one parent at a time, on the same tape
+    primitives as ``fk_joints``: the per-joint formulation that the chain-depth
+    version must reproduce bitwise, values and gradients alike."""
+    scales = hs.bone_scales(skeleton, beta)
+    lead = ad.value_of(orients).shape[:-1]  # (..., N)
+    aa_all = ad.concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
+    rots = rotation_matrices(aa_all)  # (..., N, 16, 3, 3)
+    articulated = np.sort(skeleton.chains[:, :-1], axis=None)
+    slot = {int(j): k + 1 for k, j in enumerate(articulated)}
+    world_rot = {0: rots[..., 0, :, :]}
+    world_pos = {0: positions}
+    for j in range(1, 21):
+        p = int(skeleton.parents[j])
+        offset = scales[..., j : j + 1] * skeleton.rest_offsets[j]  # (..., 3)
+        rp = world_rot[p]
+        step = ad.reshape(offset, lead[:-1] + (1, 1, 3))
+        world_pos[j] = world_pos[p] + ad.sum(rp * step, axis=-1)
+        if j in slot:
+            world_rot[j] = ad.matmul(rp, rots[..., slot[j], :, :])
+    return ad.stack([world_pos[j] for j in range(21)], axis=-2)
 
 
 def random_frames(rng, n, scale=0.4):
@@ -163,14 +186,16 @@ class TestCanonicalize:
 
 class TestSkeletonStructure:
     def test_basic_counts(self, skeleton):
-        assert skeleton.joint_count == 21
-        assert skeleton.fingertips == (4, 8, 12, 16, 20)
-        assert len(skeleton.articulated_joints) == 15
+        assert skeleton.chains.shape == (5, 4)
+        assert not skeleton.chains.flags.writeable
+        assert tuple(skeleton.chains[:, -1]) == (4, 8, 12, 16, 20)
+        assert skeleton.chains[:, :-1].size == 15
         assert skeleton.parents[0] == -1
 
     def test_five_linear_chains(self, skeleton):
         roots = [j for j in range(1, 21) if skeleton.parents[j] == 0]
         assert len(roots) == 5
+        walked = []
         for root in roots:
             chain = [root]
             while True:
@@ -180,9 +205,14 @@ class TestSkeletonStructure:
                 assert len(children) == 1
                 chain.append(children[0])
             assert len(chain) == 4
+            walked.append(chain)
+        assert np.array_equal(skeleton.chains, walked)
 
     def test_fingertips_carry_no_rotation_slot(self, skeleton):
-        assert set(skeleton.fingertips).isdisjoint(skeleton.articulated_joints)
+        tips = set(skeleton.chains[:, -1].tolist())
+        articulated = set(skeleton.chains[:, :-1].ravel().tolist())
+        assert tips.isdisjoint(articulated)
+        assert sorted(tips | articulated) == list(range(1, 21))
 
     def test_invalid_parents_rejected(self, skeleton):
         bad = np.array(skeleton.parents)
@@ -292,6 +322,99 @@ class TestForwardKinematics:
         orients, positions, rots = random_frames(rng, 3)
         joints = fk(skeleton, np.zeros(10), orients, positions, rots)
         assert np.array_equal(joints[:, 0], positions)
+
+
+def interleaved(skeleton):
+    """The skeleton renumbered depth-major: joint (finger f, depth d) becomes
+    1 + 5 d + f, so the chains interleave. Returns (skeleton, old index of
+    each new joint, old rotation slot of each new rotation slot)."""
+    new_to_old = [0] + [1 + 4 * f + d for d in range(4) for f in range(5)]
+    parents = [-1] + [0 if d == 0 else 1 + 5 * (d - 1) + f for d in range(4) for f in range(5)]
+    renumbered = hs.HandSkeleton(
+        version=skeleton.version,
+        parents=np.array(parents),
+        rest_offsets=skeleton.rest_offsets[new_to_old],
+        shape_basis=skeleton.shape_basis[new_to_old],
+    )
+    slot_to_old = [3 * f + d for d in range(3) for f in range(5)]
+    return renumbered, new_to_old, slot_to_old
+
+
+def fk_inputs(frames, seed, batched):
+    """(beta, orients, positions, joint_rotations) of random_problem(frames, 2,
+    seed); batched adds a leading axis of the problem and two perturbed rows."""
+    traj, _, _ = hs.random_problem(frames, 2, seed)
+    parts = (traj.shape, traj.orients, traj.positions, traj.joint_rotations)
+    if not batched:
+        return parts
+    rng = np.random.default_rng(seed)
+    return tuple(
+        np.stack([a, a + rng.normal(0.0, 0.1, a.shape), a - rng.normal(0.0, 0.1, a.shape)])
+        for a in parts
+    )
+
+
+def fk_gradient(fk, skeleton, frames, seed, live_shape):
+    """Loss and flat gradient of a weighted sum of the joints, through ``fk``."""
+    traj, _, _ = hs.random_problem(frames, 2, seed)
+    weights = np.random.default_rng(seed).normal(size=(frames, 21, 3))
+
+    def objective(vec):
+        beta = vec[:10] if live_shape else traj.shape
+        per_frame = ad.reshape(vec[10:], (frames, 51))
+        rots = ad.reshape(per_frame[:, 6:51], (frames, 15, 3))
+        joints = fk(skeleton, beta, per_frame[:, 0:3], per_frame[:, 3:6], rots)
+        return ad.sum(joints * weights)
+
+    return ad.record_and_backprop(objective, traj.to_flat())
+
+
+class TestChainDepthFK:
+    """fk_joints walks the chain table by depth; the per-joint walk of
+    fk_reference is the formulation it must reproduce bit for bit."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("frames", [5, 60])
+    def test_values_equal_reference_bitwise(self, skeleton, frames, seed, batched):
+        inputs = fk_inputs(frames, seed, batched)
+        ours = np.asarray(fk_joints(skeleton, *inputs))
+        reference = np.asarray(fk_reference(skeleton, *inputs))
+        assert ours.shape == reference.shape == inputs[1].shape[:-1] + (21, 3)
+        assert ours.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("frames", [5, 60])
+    def test_frozen_shape_gradient_equals_reference_bitwise(self, skeleton, frames, seed):
+        loss, grad = fk_gradient(fk_joints, skeleton, frames, seed, live_shape=False)
+        ref_loss, ref_grad = fk_gradient(fk_reference, skeleton, frames, seed, live_shape=False)
+        assert loss == ref_loss
+        assert np.all(grad[:10] == 0.0)
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("frames", [5, 60])
+    def test_live_shape_gradient_matches_reference(self, skeleton, frames, seed):
+        # the shape block sums its step gradients over other axes, so only it
+        # may differ in the last bits
+        loss, grad = fk_gradient(fk_joints, skeleton, frames, seed, live_shape=True)
+        ref_loss, ref_grad = fk_gradient(fk_reference, skeleton, frames, seed, live_shape=True)
+        assert loss == ref_loss
+        assert grad[10:].tobytes() == ref_grad[10:].tobytes()
+        assert np.all(np.abs(grad[:10] - ref_grad[:10]) <= 1e-12 * np.abs(ref_grad[:10]))
+        assert np.all(ref_grad[:10] != 0.0)
+
+    def test_table_is_derived_from_parents(self, skeleton):
+        renumbered, new_to_old, slot_to_old = interleaved(skeleton)
+        assert renumbered.chains.tolist() == [[f + 1, f + 6, f + 11, f + 16] for f in range(5)]
+        beta, orients, positions, rots = fk_inputs(6, 3, batched=False)
+        canonical = fk(skeleton, beta, orients, positions, rots)
+        permuted = fk(renumbered, beta, orients, positions, rots[:, slot_to_old])
+        assert np.allclose(permuted, canonical[:, new_to_old], rtol=0.0, atol=1e-12)
+        reference = np.asarray(
+            fk_reference(renumbered, beta, orients, positions, rots[:, slot_to_old])
+        )
+        assert np.allclose(permuted, reference, rtol=0.0, atol=1e-12)
 
 
 class TestModelFile:

@@ -8,6 +8,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import handsmooth as hs
+import handsmooth.autodiff as ad
 from handsmooth.errors import DegenerateObservationError
 from handsmooth.formats import read_json, trajectory_from_dict, trajectory_to_dict
 from handsmooth.objective import TERMS, acceleration_loss
@@ -161,6 +162,61 @@ class TestReprojectionLoss:
         assert abs(a - b) < 1e-8
 
 
+def moved_world(traj, obs, g_m, g_t, orients):
+    """The scene mapped by p -> g_m p + g_t, with every camera moved along, so
+    each camera sees what it saw; ``orients`` are the mapped wrist orients."""
+    moved = hs.TrajectoryParams(
+        shape=traj.shape,
+        orients=orients,
+        positions=traj.positions @ g_m.T + g_t,
+        joint_rotations=traj.joint_rotations,
+    )
+    views = tuple(
+        (intr, hs.Extrinsics(
+            rotation=extr.rotation @ g_m.T,
+            translation=extr.translation - extr.rotation @ g_m.T @ g_t,
+        ))
+        for intr, extr in obs.rig.views
+    )
+    return moved, replace(obs, rig=hs.CameraRig(views=views))
+
+
+class TestInvariance:
+    """Property tests on random_problem(6, 3, s): each map of the scene keeps
+    the loss terms within 1e-12."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_world_and_rig_translation_keeps_every_term(self, seed):
+        traj, obs, skeleton = hs.random_problem(6, 3, seed)
+        g_t = np.random.default_rng(seed).normal(0.0, 0.3, 3)
+        before = hs.loss_components(traj, obs, skeleton)
+        after = hs.loss_components(*moved_world(traj, obs, np.eye(3), g_t, traj.orients), skeleton)
+        for name, value in before.items():
+            assert abs(after[name] - value) <= 1e-12, name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mirroring_hand_and_skeleton_keeps_every_term(self, seed):
+        traj, obs, skeleton = hs.random_problem(6, 3, seed)
+        before = hs.loss_components(traj, obs, skeleton)
+        after = hs.loss_components(*hs.mirror_hand(traj, obs), hs.mirror_skeleton(skeleton))
+        for name, value in before.items():
+            assert abs(after[name] - value) <= 1e-12, name
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_world_and_rig_rotation_keeps_reprojection_and_pose(self, seed):
+        # acce_orients and acce_position are not rotation-invariant by
+        # construction (see acceleration_loss), so only these two are compared
+        traj, obs, skeleton = hs.random_problem(6, 3, seed)
+        g = Rotation.from_rotvec(np.random.default_rng(seed).normal(0.0, 1.0, 3))
+        orients = (g * Rotation.from_rotvec(np.array(traj.orients))).as_rotvec()
+        before = hs.loss_components(traj, obs, skeleton)
+        after = hs.loss_components(
+            *moved_world(traj, obs, g.as_matrix(), np.zeros(3), orients), skeleton
+        )
+        for name in ("loss_2d", "acce_pose"):
+            assert abs(after[name] - before[name]) <= 1e-12, name
+
+
 class TestTotalLoss:
     def test_default_weights(self):
         w = hs.LossWeights()
@@ -310,6 +366,60 @@ class TestGradientOracle:
             g = np.asarray(want["gradient"])
             err = np.abs(np.asarray(got["gradient"]) - g) / np.maximum(1.0, np.abs(g))
             assert err.shape == g.shape and err.max() <= 1e-9, (name, err.max())
+
+
+def accept_problem(fixtures_dir, skeleton):
+    """(init, obs) of the acceptance fixture, as criterion 4 builds it."""
+    motion = hs.load_motion_spec(fixtures_dir / "acceptance_motion.json")
+    noise = hs.load_noise_spec(fixtures_dir / "acceptance_noise.json")
+    rng = np.random.default_rng(noise.seed)
+    gt, rig = hs.generate_sequence(motion, rng)
+    init = hs.corrupt_trajectory(gt, noise, rng)
+    return init, hs.render_observations(gt, rig, skeleton, noise, rng)
+
+
+def tape_nodes(objective, flat):
+    tape = ad.Tape()
+    objective(ad.Tensor(flat, tape))
+    return len(tape.nodes)
+
+
+class TestFrozenShape:
+    """Without optimize_shape the objective reads the shape block as a plain
+    value, so bone scales and bone offsets stay off the tape."""
+
+    def test_frozen_objective_records_the_shape_nodes_less(self, fixtures_dir, skeleton):
+        init, obs = accept_problem(fixtures_dir, skeleton)
+        live = tape_nodes(hs.make_flat_objective(obs, skeleton), init.to_flat())
+        frozen = tape_nodes(
+            hs.make_flat_objective(obs, skeleton, optimize_shape=False), init.to_flat()
+        )
+        # bone_scales (3), the offset table (2), five base-joint steps (2 each)
+        # and three level steps (2 each)
+        assert live - frozen == 21
+        assert frozen <= 190
+
+    def test_frozen_gradient_is_the_live_one_off_the_shape_block(self, fixtures_dir, skeleton):
+        init, obs = accept_problem(fixtures_dir, skeleton)
+        live = ad.record_and_backprop(hs.make_flat_objective(obs, skeleton), init.to_flat())
+        frozen = ad.record_and_backprop(
+            hs.make_flat_objective(obs, skeleton, optimize_shape=False), init.to_flat()
+        )
+        assert frozen[0] == live[0]
+        assert frozen[1][10:].tobytes() == live[1][10:].tobytes()
+        assert np.all(frozen[1][:10] == 0.0)
+        assert np.all(live[1][:10] != 0.0)
+
+    def test_default_objective_checks_the_shape_block(self):
+        traj, obs, skeleton = hs.random_problem(5, 2, 0)
+        objective = hs.make_flat_objective(obs, skeleton)
+        _, grad = ad.record_and_backprop(objective, traj.to_flat())
+        assert np.all(grad[:10] != 0.0)
+        assert ad.check_gradient(objective, traj.to_flat()) < 1e-4
+        # the plain route is the same function either way
+        frozen = hs.make_flat_objective(obs, skeleton, optimize_shape=False)
+        block = traj.to_flat() + np.linspace(0.0, 1e-3, 3)[:, None]
+        assert objective(block).tobytes() == frozen(block).tobytes()
 
 
 class TestTrajectoryParams:
