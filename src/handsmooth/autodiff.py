@@ -1,12 +1,11 @@
 """Reverse-mode automatic differentiation on an explicit recording tape.
 
 Values are float64 numpy arrays (scalars are 0-d arrays). Each primitive
-(:func:`add`, :func:`sub`, :func:`mul`, :func:`div`, :func:`neg`,
-:func:`matmul`, :func:`sin`, :func:`cos`, :func:`exp`, :func:`sqrt`,
-:func:`abs_smooth`, :func:`reshape`, :func:`sum`, :func:`getitem`,
-:func:`stack`, :func:`concat`) is defined once, as a module function. It
-computes its value with numpy on the plain values of its operands and passes
-that value to ``_record``:
+(:func:`add`, :func:`sub`, :func:`mul`, :func:`div`, :func:`matmul`,
+:func:`exp`, :func:`reshape`, :func:`sum`, :func:`getitem`, :func:`stack`,
+:func:`concat`) is defined once, as a module function. It computes its value
+with numpy on the plain values of its operands and passes that value to
+``_record``:
 
 * when no operand is a :class:`Tensor`, ``_record`` returns the plain value,
   so numerical code written against these functions runs tape-free at numpy
@@ -17,8 +16,17 @@ that value to ``_record``:
   module-level VJP function, the operand tuple and a small ``ctx``.
 
 Both paths compute the value with the same expression, so they agree bitwise.
-The Tensor operators (``+ - * / @``, unary ``-`` and indexing, reflected
-forms included) delegate to the same functions.
+The Tensor operators (``+ - * / @`` and indexing, reflected forms included)
+delegate to the same functions; unary ``-`` is a multiplication by -1.
+
+A fused op is the same pattern one level up: a function in another module
+that evaluates a whole composition with numpy on plain values and makes one
+``_record`` call with a hand-written module-level VJP, instead of recording
+each step. The pipeline has three: ``hand_model.rotation_matrices``
+(Rodrigues), ``objective.acceleration_loss`` (the second-difference terms)
+and ``objective._reprojection`` (projection and masked residual over every
+view). Their ``ctx`` holds only forward intermediates; anything the VJP alone
+needs is computed in the VJP, so the tape-free route pays nothing for it.
 
 ``vjp(g, node, i)`` returns the gradient of operand ``i`` given the gradient
 ``g`` of the node's value. Tape order is a valid topological order, so one
@@ -30,7 +38,8 @@ objective raises): its nodes are then freed by reference counting, without
 waiting for the cyclic garbage collector.
 
 Indexing supports basic numpy indexing (ints, slices, ellipsis) and integer
-arrays of distinct, non-negative indices. The gradient scatter adds into each
+arrays of distinct, non-negative indices. The sweep scatter-adds a
+:func:`getitem` node's gradient into its operand's gradient in place, each
 selected element once, so :func:`getitem` rejects an integer array that could
 select an element twice.
 """
@@ -131,7 +140,7 @@ class Tensor:
         return matmul(other, self)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -195,14 +204,6 @@ def _sub_vjp(g, node, i):
     return -g if i else g
 
 
-def neg(x):
-    return _record(-value_of(x), _neg_vjp, (x,))
-
-
-def _neg_vjp(g, node, i):
-    return -g
-
-
 def mul(a, b):
     return _record(value_of(a) * value_of(b), _mul_vjp, (a, b))
 
@@ -239,51 +240,12 @@ def _matmul_vjp(g, node, i):
     return g @ np.swapaxes(value_of(b), -1, -2)
 
 
-def sin(x):
-    return _record(np.sin(value_of(x)), _sin_vjp, (x,))
-
-
-def _sin_vjp(g, node, i):
-    return g * np.cos(node.inputs[0].value)
-
-
-def cos(x):
-    return _record(np.cos(value_of(x)), _cos_vjp, (x,))
-
-
-def _cos_vjp(g, node, i):
-    return -g * np.sin(node.inputs[0].value)
-
-
 def exp(x):
     return _record(np.exp(value_of(x)), _exp_vjp, (x,))
 
 
 def _exp_vjp(g, node, i):
     return g * node.value
-
-
-def sqrt(x):
-    v = value_of(x)
-    if np.any(v < 0.0):
-        raise AutodiffDomainError("sqrt", "negative operand")
-    return _record(np.sqrt(v), _sqrt_vjp, (x,))
-
-
-def _sqrt_vjp(g, node, i):
-    # derivative is unbounded at 0; callers pad with a positive delta
-    return g * (0.5 / node.value)
-
-
-def abs_smooth(x, delta=ABS_SMOOTH_DELTA):
-    """Smoothed absolute value sqrt(x^2 + delta^2) - delta."""
-    v = value_of(x)
-    root = np.sqrt(v * v + delta * delta)
-    return _record(root - delta, _abs_smooth_vjp, (x,), root)
-
-
-def _abs_smooth_vjp(g, node, i):
-    return g * (node.inputs[0].value / node.ctx)
 
 
 def reshape(x, shape):
@@ -306,11 +268,6 @@ def _sum_vjp(g, node, i):
     return np.broadcast_to(g, node.inputs[0].value.shape)
 
 
-def mean(x, axis=None):
-    total = sum(x, axis)
-    return total / float(value_of(x).size // value_of(total).size)
-
-
 def getitem(x, idx):
     for key in idx if isinstance(idx, tuple) else (idx,):
         if isinstance(key, (list, np.ndarray)):
@@ -323,9 +280,10 @@ def getitem(x, idx):
 
 
 def _getitem_vjp(g, node, i):
-    buf = np.zeros_like(node.inputs[0].value)
-    buf[node.ctx] += g
-    return buf
+    """Scatter-adds ``g`` into the operand's gradient in place and returns
+    nothing: :func:`record_and_backprop` calls it only once that gradient is
+    an array the sweep allocated for the operand alone."""
+    node.inputs[0].grad[node.ctx] += g
 
 
 def stack(parts, axis=0):
@@ -378,14 +336,29 @@ def record_and_backprop(
         if out.value.size != 1:
             raise ValueError("objective must be scalar-valued")
         out.grad = np.ones_like(out.value)
+        # Tensors whose gradient array the sweep allocated for them alone. Only
+        # these are written in place: a VJP may hand back its own ``g`` (add,
+        # reshape, stack, concat) or a read-only broadcast view (sum).
+        owned = set()
         for node in reversed(tape.nodes):
             g = node.grad
             if g is None:
                 continue
+            if node.vjp is _getitem_vjp:
+                x = node.inputs[0]
+                if x not in owned:
+                    x.grad = np.zeros_like(x.value) if x.grad is None else np.array(x.grad)
+                    owned.add(x)
+                _getitem_vjp(g, node, 0)
+                continue
             for i, x in enumerate(node.inputs):
                 if isinstance(x, Tensor):
                     gx = _unbroadcast(node.vjp(g, node, i), x.value.shape)
-                    x.grad = gx if x.grad is None else x.grad + gx
+                    if x.grad is None:
+                        x.grad = gx
+                    else:
+                        x.grad = x.grad + gx
+                        owned.add(x)
     finally:
         tape.nodes.clear()
     grad = leaf.grad

@@ -28,8 +28,11 @@ DEFAULT_MODEL = "hand_model_v1"
 MODEL_SCHEMA_VERSION = "1"
 
 # Rodrigues switches to series coefficients below this squared angle
-# (theta < 1e-8 rad), which keeps the map and its gradients finite at zero.
+# (theta < 1e-8 rad), which keeps the map finite at zero.
 SMALL_ANGLE_SQ = 1e-16
+# Its VJP takes the coefficients' derivatives from their series below this
+# squared angle (theta < 1e-2 rad), where the closed forms cancel.
+SERIES_DERIVATIVE_SQ = 1e-4
 
 _BASIS_SEED = 20240817
 _MAX_BASIS_ROW_NORM = 0.1
@@ -112,42 +115,77 @@ def canonicalize_axis_angle(aa: np.ndarray) -> np.ndarray:
 def rotation_matrices(aa):
     """Rodrigues map for a batch of axis-angle vectors, shape (..., 3) -> (..., 3, 3).
 
-    Accepts a Tensor or a plain array. Below 1e-8 rad the sin(t)/t and
-    (1-cos t)/t^2 coefficients come from their quadratic series, so there is
-    no division by the vanishing angle and gradients stay finite at zero.
+    With w the axis-angle vector, K its cross-product matrix and t = |w|,
+    R = I + a K + b (w w^T - t^2 I), where a = sin(t)/t and
+    b = (1 - cos t)/t^2. Accepts a Tensor or a plain array and records one
+    tape node, whose VJP is ``_rodrigues_vjp``.
+
+    Below 1e-8 rad (``SMALL_ANGLE_SQ``) a and b come from their quadratic
+    series, so there is no division by the vanishing angle. The VJP needs
+    da/dt^2 and db/dt^2, whose closed forms lose every digit near 1e-8 rad;
+    below 1e-2 rad (``SERIES_DERIVATIVE_SQ``) it takes them from their series
+    to the t^4 term instead, so gradients stay accurate down to zero.
     """
-    x = aa[..., 0]
-    y = aa[..., 1]
-    z = aa[..., 2]
+    w = ad.value_of(aa)
+    x = w[..., 0]
+    y = w[..., 1]
+    z = w[..., 2]
     t2 = x * x + y * y + z * z
-    small = (ad.value_of(t2) < SMALL_ANGLE_SQ).astype(float)  # constant mask
+    small = (t2 < SMALL_ANGLE_SQ).astype(float)
     big = 1.0 - small
     t2_safe = t2 * big + small  # 1.0 where masked, keeps sqrt and div finite
-    theta = ad.sqrt(t2_safe)
-    sin_c = ad.sin(theta) / theta
-    s_half = ad.sin(theta * 0.5)
+    theta = np.sqrt(t2_safe)
+    sin_c = np.sin(theta) / theta
+    s_half = np.sin(theta * 0.5)
     ver_c = (s_half * s_half) * 2.0 / t2_safe  # (1 - cos t)/t^2 without cancellation
     a = big * sin_c + small * (1.0 - t2 * (1.0 / 6.0))
     b = big * ver_c + small * (0.5 - t2 * (1.0 / 24.0))
 
-    zeros = np.zeros(ad.value_of(x).shape)
-    k = ad.stack(
+    zeros = np.zeros(x.shape)
+    k = np.stack(
         [
-            ad.stack([zeros, -z, y], axis=-1),
-            ad.stack([z, zeros, -x], axis=-1),
-            ad.stack([-y, x, zeros], axis=-1),
+            np.stack([zeros, -z, y], axis=-1),
+            np.stack([z, zeros, -x], axis=-1),
+            np.stack([-y, x, zeros], axis=-1),
         ],
         axis=-2,
     )
-    lead = ad.value_of(aa).shape[:-1]
-    col = ad.reshape(aa, lead + (3, 1))
-    row = ad.reshape(aa, lead + (1, 3))
-    outer = col * row  # K^2 = outer - t2 * I for the unnormalized axis
+    lead = w.shape[:-1]
+    outer = w.reshape(lead + (3, 1)) * w.reshape(lead + (1, 3))  # K^2 = outer - t2 I
     eye = np.eye(3)
-    a_m = ad.reshape(a, lead + (1, 1))
-    b_m = ad.reshape(b, lead + (1, 1))
-    t2_m = ad.reshape(t2, lead + (1, 1))
-    return eye + a_m * k + b_m * (outer - t2_m * eye)
+    t2_m = t2.reshape(lead + (1, 1))
+    value = eye + a.reshape(lead + (1, 1)) * k + b.reshape(lead + (1, 1)) * (outer - t2_m * eye)
+    return ad._record(value, _rodrigues_vjp, (aa,), (t2, a, b))
+
+
+def _rodrigues_vjp(g, node, i):
+    t2, a, b = node.ctx
+    w = node.inputs[0].value
+    # da/dt2 and db/dt2: series below the switch, closed forms above it
+    # (cos t = 1 - t2 b)
+    series = t2 < SERIES_DERIVATIVE_SQ
+    t2_safe = np.where(series, 1.0, t2)
+    da = np.where(
+        series,
+        -1.0 / 6.0 + t2 * (1.0 / 60.0 - t2 * (1.0 / 1680.0)),
+        (1.0 - t2 * b - a) / (2.0 * t2_safe),
+    )
+    db = np.where(
+        series,
+        -1.0 / 24.0 + t2 * (1.0 / 360.0 - t2 * (1.0 / 13440.0)),
+        (a - 2.0 * b) / (2.0 * t2_safe),
+    )
+    # <g, K> = <w, s> for the axial vector s of g - g^T
+    s = np.stack(
+        [g[..., 2, 1] - g[..., 1, 2], g[..., 0, 2] - g[..., 2, 0], g[..., 1, 0] - g[..., 0, 1]],
+        axis=-1,
+    )
+    sym_w = ((g + np.swapaxes(g, -1, -2)) @ w[..., None])[..., 0]  # (g + g^T) w
+    trace = np.trace(g, axis1=-2, axis2=-1)
+    g_a = np.sum(w * s, axis=-1)
+    g_b = 0.5 * np.sum(w * sym_w, axis=-1) - t2 * trace  # <g, outer - t2 I>
+    g_t2 = g_a * da + g_b * db - b * trace
+    return a[..., None] * s + b[..., None] * sym_w + (2.0 * g_t2)[..., None] * w
 
 
 def bone_scales(skeleton: HandSkeleton, beta):

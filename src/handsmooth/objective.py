@@ -3,7 +3,9 @@ temporal acceleration penalties on pose, orientation, and position series.
 
 All loss code is written against the autodiff dispatch helpers, so the same
 functions evaluate with plain arrays (fast, tape-free) or record onto a tape
-for gradients. The tape-free route also takes leading batch axes: the flat
+for gradients. The acceleration and reprojection terms are fused ops: each
+evaluates on plain values and records one node with a hand-written VJP.
+The tape-free route also takes leading batch axes: the flat
 objective maps a (P,) vector to a scalar and a (B, P) block of vectors to
 (B,) values, row by row.
 """
@@ -167,11 +169,25 @@ def acceleration_loss(series):
     differences of world axis-angle vectors, and the second smooths |.| per
     world coordinate. The pose term and the reprojection term are invariant.
     """
-    shape = ad.value_of(series).shape
-    if len(shape) < 2 or shape[-2] < MIN_FRAMES:
+    s = ad.value_of(series)
+    if s.ndim < 2 or s.shape[-2] < MIN_FRAMES:
         raise ValueError("acceleration needs a (..., N, D) series with N >= 3 frames")
-    d2 = series[..., 2:, :] - series[..., 1:-1, :] * 2.0 + series[..., :-2, :]
-    return ad.mean(ad.abs_smooth(d2), axis=(-2, -1))
+    d2 = s[..., 2:, :] - s[..., 1:-1, :] * 2.0 + s[..., :-2, :]
+    root = np.sqrt(d2 * d2 + DELTA * DELTA)
+    count = float(d2.shape[-2] * d2.shape[-1])
+    value = (root - DELTA).sum(axis=(-2, -1)) / count
+    return ad._record(value, _acceleration_vjp, (series,), (d2, root, count))
+
+
+def _acceleration_vjp(g, node, i):
+    """D2^T applied to the gradient of each second difference."""
+    d2, root, count = node.ctx
+    gd = (g / count)[..., None, None] * (d2 / root)
+    out = np.zeros(node.inputs[0].value.shape)
+    out[..., 2:, :] += gd
+    out[..., 1:-1, :] -= gd * 2.0
+    out[..., :-2, :] += gd
+    return out
 
 
 def trajectory_joints(traj: TrajectoryParams, skeleton: HandSkeleton) -> np.ndarray:
@@ -187,31 +203,59 @@ def _reprojection(joints, obs: SequenceObservation, norm: str):
 
     A landmark counts only when it is visible and strictly in front of the
     camera. Raises DegenerateObservationError when none counts in some batch
-    row.
+    row. Each view is projected by ``camera.project_points_masked`` on plain
+    values, and the whole term records one tape node, whose VJP is
+    ``_reprojection_vjp``.
     """
     if norm not in REPROJECTION_NORMS:
         raise ValueError(f"norm must be one of {REPROJECTION_NORMS}")
+    points = ad.value_of(joints)
     count = 0.0  # per batch row
     total = None
+    residuals = []
     for vi, view in enumerate(obs.rig.views):
-        u, v, in_front = cam.project_points_masked(joints, view)
+        u, v, in_front = cam.project_points_masked(points, view)
         mask = (obs.visibility[:, vi] & in_front).astype(float)
         du = u - obs.landmarks_2d[:, vi, :, 0]
         dv = v - obs.landmarks_2d[:, vi, :, 1]
+        # d dist / d du = du / ru, and likewise for v
         if norm == "l2":
-            dist = ad.sqrt(du * du + dv * dv + DELTA * DELTA) - DELTA
+            ru = rv = np.sqrt(du * du + dv * dv + DELTA * DELTA)
+            dist = ru - DELTA
         elif norm == "l2_squared":
+            ru = rv = 0.5
             dist = du * du + dv * dv
         else:
-            dist = ad.abs_smooth(du) + ad.abs_smooth(dv)
+            ru, rv = np.sqrt(du * du + DELTA * DELTA), np.sqrt(dv * dv + DELTA * DELTA)
+            dist = (ru - DELTA) + (rv - DELTA)
         count = count + mask.sum(axis=(-2, -1))
-        s = ad.sum(dist * mask, axis=(-2, -1))
+        s = (dist * mask).sum(axis=(-2, -1))
         total = s if total is None else total + s
+        residuals.append((du, dv, ru, rv, mask))
     if np.any(count == 0.0):
         raise DegenerateObservationError(
             "no landmark is visible and in front of a camera"
         )
-    return total / count
+    return ad._record(total / count, _reprojection_vjp, (joints,), (obs, count, residuals))
+
+
+def _reprojection_vjp(g, node, i):
+    """Through each view's residual norm, then the pinhole map on the
+    landmarks that count, then the world-to-camera rotation."""
+    obs, count, residuals = node.ctx
+    points = node.inputs[0].value
+    scale = (g / count)[..., None, None]
+    out = np.zeros(points.shape)
+    for (intr, extr), (du, dv, ru, rv, mask) in zip(obs.rig.views, residuals):
+        w = scale * mask
+        gu, gv = w * du / ru, w * dv / rv
+        p = points @ extr.rotation.T + extr.translation
+        z = np.where(mask > 0.0, p[..., 2], 1.0)  # gu = gv = 0 where masked
+        gx = gu * intr.fx / z
+        gy = gv * intr.fy / z
+        gz = -(gx * p[..., 0] + gy * p[..., 1]) / z
+        out += np.stack([gx, gy, gz], axis=-1) @ extr.rotation
+    return out
 
 
 def _live(x, weight):

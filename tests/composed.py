@@ -1,0 +1,132 @@
+"""The tape compositions that the fused ops replaced, kept as test-only
+references, and the elementwise primitives they were built from.
+
+``rotation_matrices``, ``acceleration_loss`` and ``_reprojection`` each record
+one node with a hand-written VJP. The functions below record the same
+computations step by step, on ops with one-line VJPs, so the sweep derives
+their gradients by the chain rule. The fused ops must reproduce these values
+bitwise and their gradients to within rounding.
+"""
+
+import numpy as np
+
+import handsmooth.autodiff as ad
+from handsmooth import camera as cam
+from handsmooth.errors import DegenerateObservationError
+from handsmooth.hand_model import SMALL_ANGLE_SQ
+from handsmooth.objective import DELTA
+
+# ----- elementwise ops, recorded as autodiff records its primitives -----
+
+
+def neg(x):
+    return ad._record(-ad.value_of(x), _neg_vjp, (x,))
+
+
+def _neg_vjp(g, node, i):
+    return -g
+
+
+def sin(x):
+    return ad._record(np.sin(ad.value_of(x)), _sin_vjp, (x,))
+
+
+def _sin_vjp(g, node, i):
+    return g * np.cos(node.inputs[0].value)
+
+
+def cos(x):
+    return ad._record(np.cos(ad.value_of(x)), _cos_vjp, (x,))
+
+
+def _cos_vjp(g, node, i):
+    return -g * np.sin(node.inputs[0].value)
+
+
+def sqrt(x):
+    return ad._record(np.sqrt(ad.value_of(x)), _sqrt_vjp, (x,))
+
+
+def _sqrt_vjp(g, node, i):
+    return g * (0.5 / node.value)
+
+
+def abs_smooth(x, delta=ad.ABS_SMOOTH_DELTA):
+    """Smoothed absolute value sqrt(x^2 + delta^2) - delta."""
+    v = ad.value_of(x)
+    root = np.sqrt(v * v + delta * delta)
+    return ad._record(root - delta, _abs_smooth_vjp, (x,), root)
+
+
+def _abs_smooth_vjp(g, node, i):
+    return g * (node.inputs[0].value / node.ctx)
+
+
+def mean(x, axis=None):
+    total = ad.sum(x, axis)
+    return total / float(ad.value_of(x).size // ad.value_of(total).size)
+
+
+# ----- the compositions -----
+
+
+def rodrigues_reference(aa):
+    x = aa[..., 0]
+    y = aa[..., 1]
+    z = aa[..., 2]
+    t2 = x * x + y * y + z * z
+    small = (ad.value_of(t2) < SMALL_ANGLE_SQ).astype(float)  # constant mask
+    big = 1.0 - small
+    t2_safe = t2 * big + small
+    theta = sqrt(t2_safe)
+    sin_c = sin(theta) / theta
+    s_half = sin(theta * 0.5)
+    ver_c = (s_half * s_half) * 2.0 / t2_safe
+    a = big * sin_c + small * (1.0 - t2 * (1.0 / 6.0))
+    b = big * ver_c + small * (0.5 - t2 * (1.0 / 24.0))
+
+    zeros = np.zeros(ad.value_of(x).shape)
+    k = ad.stack(
+        [
+            ad.stack([zeros, neg(z), y], axis=-1),
+            ad.stack([z, zeros, neg(x)], axis=-1),
+            ad.stack([neg(y), x, zeros], axis=-1),
+        ],
+        axis=-2,
+    )
+    lead = ad.value_of(aa).shape[:-1]
+    col = ad.reshape(aa, lead + (3, 1))
+    row = ad.reshape(aa, lead + (1, 3))
+    outer = col * row
+    eye = np.eye(3)
+    a_m = ad.reshape(a, lead + (1, 1))
+    b_m = ad.reshape(b, lead + (1, 1))
+    t2_m = ad.reshape(t2, lead + (1, 1))
+    return eye + a_m * k + b_m * (outer - t2_m * eye)
+
+
+def acceleration_reference(series):
+    d2 = series[..., 2:, :] - series[..., 1:-1, :] * 2.0 + series[..., :-2, :]
+    return mean(abs_smooth(d2), axis=(-2, -1))
+
+
+def reprojection_reference(joints, obs, norm):
+    count = 0.0
+    total = None
+    for vi, view in enumerate(obs.rig.views):
+        u, v, in_front = cam.project_points_masked(joints, view)
+        mask = (obs.visibility[:, vi] & in_front).astype(float)
+        du = u - obs.landmarks_2d[:, vi, :, 0]
+        dv = v - obs.landmarks_2d[:, vi, :, 1]
+        if norm == "l2":
+            dist = sqrt(du * du + dv * dv + DELTA * DELTA) - DELTA
+        elif norm == "l2_squared":
+            dist = du * du + dv * dv
+        else:
+            dist = abs_smooth(du) + abs_smooth(dv)
+        count = count + mask.sum(axis=(-2, -1))
+        s = ad.sum(dist * mask, axis=(-2, -1))
+        total = s if total is None else total + s
+    if np.any(count == 0.0):
+        raise DegenerateObservationError("no landmark is visible and in front of a camera")
+    return total / count

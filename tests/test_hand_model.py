@@ -135,6 +135,8 @@ class TestRotations:
             (0.0, True),
             (0.999e-8, True),  # just below the series switch at 1e-8 rad
             (1.001e-8, False),  # just above it
+            (0.999e-2, False),  # either side of the VJP's derivative switch
+            (1.001e-2, False),
             (np.pi - 1e-7, False),
             (-(np.pi - 1e-7), False),
         ],

@@ -397,7 +397,10 @@ class TestFrozenShape:
         # bone_scales (3), the offset table (2), five base-joint steps (2 each)
         # and three level steps (2 each)
         assert live - frozen == 21
-        assert frozen <= 190
+        # one node each for Rodrigues, the three acceleration terms and the
+        # all-view reprojection; the target for the whole pass is under 80
+        assert frozen == 67
+        assert frozen < 80
 
     def test_frozen_gradient_is_the_live_one_off_the_shape_block(self, fixtures_dir, skeleton):
         init, obs = accept_problem(fixtures_dir, skeleton)
