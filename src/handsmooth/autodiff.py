@@ -2,10 +2,9 @@
 
 Values are float64 numpy arrays (scalars are 0-d arrays). Each primitive
 (:func:`add`, :func:`sub`, :func:`mul`, :func:`div`, :func:`matmul`,
-:func:`exp`, :func:`reshape`, :func:`sum`, :func:`getitem`, :func:`stack`,
-:func:`concat`) is defined once, as a module function. It computes its value
-with numpy on the plain values of its operands and passes that value to
-``_record``:
+:func:`exp`, :func:`reshape`, :func:`sum`, :func:`getitem`, :func:`concat`)
+is defined once, as a module function. It computes its value with numpy on
+the plain values of its operands and passes that value to ``_record``:
 
 * when no operand is a :class:`Tensor`, ``_record`` returns the plain value,
   so numerical code written against these functions runs tape-free at numpy
@@ -22,26 +21,26 @@ delegate to the same functions; unary ``-`` is a multiplication by -1.
 A fused op is the same pattern one level up: a function in another module
 that evaluates a whole composition with numpy on plain values and makes one
 ``_record`` call with a hand-written module-level VJP, instead of recording
-each step. The pipeline has three: ``hand_model.rotation_matrices``
-(Rodrigues), ``objective.acceleration_loss`` (the second-difference terms)
-and ``objective._reprojection`` (projection and masked residual over every
+each step. The pipeline has four: ``hand_model.rotation_matrices``
+(Rodrigues), the chain walk of ``hand_model.fk_joints`` (forward kinematics),
+``objective.acceleration_loss`` (the second-difference terms) and
+``objective._reprojection`` (projection and masked residual over every
 view). Their ``ctx`` holds only forward intermediates; anything the VJP alone
 needs is computed in the VJP, so the tape-free route pays nothing for it.
 
 ``vjp(g, node, i)`` returns the gradient of operand ``i`` given the gradient
 ``g`` of the node's value. Tape order is a valid topological order, so one
-reverse sweep, which calls the VJP for Tensor operands only and sums away
-broadcast axes, yields exact gradients of a scalar output with respect to the
-leaf parameter vector. Each node points back at its tape, so
+reverse sweep yields exact gradients of a scalar output with respect to the
+leaf parameter vector. It has one rule for every node: call the VJP for each
+Tensor operand, sum away broadcast axes, and add the result to the operand's
+gradient, never in place. Each node points back at its tape, so
 :func:`record_and_backprop` empties the tape when the sweep ends (or the
 objective raises): its nodes are then freed by reference counting, without
 waiting for the cyclic garbage collector.
 
-Indexing supports basic numpy indexing (ints, slices, ellipsis) and integer
-arrays of distinct, non-negative indices. The sweep scatter-adds a
-:func:`getitem` node's gradient into its operand's gradient in place, each
-selected element once, so :func:`getitem` rejects an integer array that could
-select an element twice.
+Indexing takes basic numpy indices only (ints, slices, ``Ellipsis``,
+``None``), which select each element at most once, so the :func:`getitem` VJP
+assigns ``g`` into a zero array; :func:`getitem` raises on any array index.
 """
 
 from __future__ import annotations
@@ -269,26 +268,17 @@ def _sum_vjp(g, node, i):
 
 
 def getitem(x, idx):
-    for key in idx if isinstance(idx, tuple) else (idx,):
-        if isinstance(key, (list, np.ndarray)):
-            flat = np.asarray(key).ravel()
-            if flat.dtype.kind in "iu" and (
-                np.any(flat < 0) or len(set(flat.tolist())) < flat.size
-            ):
-                raise ValueError("integer-array indices must be distinct and non-negative")
+    basic = (int, np.integer, slice, type(None), type(Ellipsis))
+    if not all(isinstance(k, basic) for k in (idx if isinstance(idx, tuple) else (idx,))):
+        raise ValueError("getitem takes basic indices only: ints, slices, Ellipsis and None")
     return _record(value_of(x)[idx], _getitem_vjp, (x,), idx)
 
 
 def _getitem_vjp(g, node, i):
-    """Scatter-adds ``g`` into the operand's gradient in place and returns
-    nothing: :func:`record_and_backprop` calls it only once that gradient is
-    an array the sweep allocated for the operand alone."""
-    node.inputs[0].grad[node.ctx] += g
-
-
-def stack(parts, axis=0):
-    value = np.stack([value_of(p) for p in parts], axis=axis)
-    return _record(value, _join_vjp, tuple(parts), (axis % value.ndim, range(len(parts))))
+    # a basic index selects each element at most once
+    out = np.zeros(node.inputs[0].value.shape)
+    out[node.ctx] = g
+    return out
 
 
 def concat(parts, axis=0):
@@ -297,12 +287,11 @@ def concat(parts, axis=0):
     ax = axis % value.ndim
     ends = accumulate(v.shape[ax] for v in vals)
     keys = [slice(end - v.shape[ax], end) for end, v in zip(ends, vals)]
-    return _record(value, _join_vjp, tuple(parts), (ax, keys))
+    return _record(value, _concat_vjp, tuple(parts), (ax, keys))
 
 
-def _join_vjp(g, node, i):
-    """Shared by stack and concat: ctx is (axis, the index or slice of each
-    part along that axis of the output)."""
+def _concat_vjp(g, node, i):
+    """ctx is (axis, the slice of each part along that axis of the output)."""
     ax, keys = node.ctx
     return g[(slice(None),) * ax + (keys[i],)]
 
@@ -336,29 +325,14 @@ def record_and_backprop(
         if out.value.size != 1:
             raise ValueError("objective must be scalar-valued")
         out.grad = np.ones_like(out.value)
-        # Tensors whose gradient array the sweep allocated for them alone. Only
-        # these are written in place: a VJP may hand back its own ``g`` (add,
-        # reshape, stack, concat) or a read-only broadcast view (sum).
-        owned = set()
         for node in reversed(tape.nodes):
             g = node.grad
             if g is None:
                 continue
-            if node.vjp is _getitem_vjp:
-                x = node.inputs[0]
-                if x not in owned:
-                    x.grad = np.zeros_like(x.value) if x.grad is None else np.array(x.grad)
-                    owned.add(x)
-                _getitem_vjp(g, node, 0)
-                continue
             for i, x in enumerate(node.inputs):
                 if isinstance(x, Tensor):
                     gx = _unbroadcast(node.vjp(g, node, i), x.value.shape)
-                    if x.grad is None:
-                        x.grad = gx
-                    else:
-                        x.grad = x.grad + gx
-                        owned.add(x)
+                    x.grad = gx if x.grad is None else x.grad + gx
     finally:
         tape.nodes.clear()
     grad = leaf.grad

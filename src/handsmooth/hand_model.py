@@ -93,6 +93,9 @@ class HandSkeleton:
         object.__setattr__(self, "rest_offsets", offsets)
         object.__setattr__(self, "shape_basis", basis)
         object.__setattr__(self, "_chains", ad.readonly(chains, dtype=int))
+        articulated = sorted(j for chain in chains for j in chain[:-1])
+        slots = [[articulated.index(j) + 1 for j in chain[:-1]] for chain in chains]
+        object.__setattr__(self, "_slots", ad.readonly(slots, dtype=int))
 
     @property
     def chains(self) -> np.ndarray:
@@ -100,6 +103,13 @@ class HandSkeleton:
         base joint to its tip, rows in order of base joint. The joints of
         columns 0-2 carry rotation parameters, in increasing joint order."""
         return self._chains
+
+    @property
+    def slots(self) -> np.ndarray:
+        """Read-only (5, 3) table: the rotation slot of joint chains[f, d],
+        1 + its rank in joint order among the 15 articulated joints (slot 0
+        is the wrist's)."""
+        return self._slots
 
 
 def canonicalize_axis_angle(aa: np.ndarray) -> np.ndarray:
@@ -206,45 +216,56 @@ def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations)
     parent + parent_world_rotation @ (scale_j * rest_offset_j); a joint's own
     rotation only affects its descendants, and fingertips carry none.
 
-    The five chains of ``skeleton.chains`` are walked by depth. The base
-    joints go one finger at a time, so the backward sweep sums the wrist's
-    gradient finger by finger, in the order a per-joint walk would; each
-    deeper level is one op per step over all five fingers.
+    The chains of ``skeleton.chains`` are walked by depth on plain values,
+    one step per level over all five fingers, after smplx's
+    ``batch_rigid_transform``. The walk records one tape node, whose VJP
+    ``_chain_vjp`` walks back from the fingertips into the rotation matrices,
+    the scaled offsets and the wrist positions.
     """
-    chains = skeleton.chains
-    # rotation slot of each articulated joint: slot 0 is the wrist's, then
-    # joint order (sorted in Python: a first call of numpy's sort pages in
-    # code that adds to a run's peak RSS)
-    articulated = sorted(chains[:, :-1].ravel().tolist())
-    slots = np.array([[articulated.index(j) + 1 for j in c[:-1]] for c in chains.tolist()])
     scales = bone_scales(skeleton, beta)
     lead = ad.value_of(orients).shape[:-1]  # (..., N)
     aa_all = ad.concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
     rots = rotation_matrices(aa_all)  # (..., N, 16, 3, 3)
     offsets = ad.reshape(scales, lead[:-1] + (NUM_JOINTS, 1)) * skeleton.rest_offsets
-    wrist_rot = rots[..., 0, :, :]
-    pos, rot = [], []
-    for base, slot in zip(chains[:, 0], slots[:, 0]):
-        step = ad.reshape(offsets[..., base, :], lead[:-1] + (1, 1, 3))
-        pos.append(positions + ad.sum(wrist_rot * step, axis=-1))
-        rot.append(ad.matmul(wrist_rot, rots[..., slot, :, :]))
-    pos = ad.stack(pos, axis=-2)  # (..., N, 5, 3)
-    rot = ad.stack(rot, axis=-3)  # (..., N, 5, 3, 3)
-    levels = [pos]
-    for depth in range(1, CHAIN_LENGTH):
-        step = offsets[..., chains[:, depth], :]
-        step = ad.reshape(step, lead[:-1] + (1, NUM_FINGERS, 1, 3))
-        pos = pos + ad.sum(rot * step, axis=-1)
-        levels.append(pos)
-        if depth < CHAIN_LENGTH - 1:
-            rot = ad.matmul(rot, rots[..., slots[:, depth], :, :])
-    # finger-major, like the table: joints in the order 0, chains.ravel()
-    fingers = ad.reshape(ad.stack(levels, axis=-2), lead + (NUM_JOINTS - 1, 3))
-    joints = ad.concat([ad.reshape(positions, lead + (1, 3)), fingers], axis=-2)
-    order = np.concatenate(([0], chains.ravel()))
-    if np.any(order != np.arange(NUM_JOINTS)):
-        joints = joints[..., np.argsort(order), :]
-    return joints
+    r, off, p = (ad.value_of(x) for x in (rots, offsets, positions))
+    # parents[d]: the world rotation of level d's parents; the base joints share the wrist's
+    parents = [r[..., :1, :, :]]
+    for level_slots in skeleton.slots.T:
+        parents.append(parents[-1] @ r[..., level_slots, :, :])
+    steps = [off[..., c, :].reshape(lead[:-1] + (1, NUM_FINGERS, 1, 3)) for c in skeleton.chains.T]
+    joints = np.empty(lead + (NUM_JOINTS, 3))
+    joints[..., 0, :] = p
+    pos = p[..., None, :]
+    for level, parent, step in zip(skeleton.chains.T, parents, steps):
+        pos = pos + (parent * step).sum(axis=-1)
+        joints[..., level, :] = pos
+    ctx = (skeleton.chains, skeleton.slots, parents, steps)
+    return ad._record(joints, _chain_vjp, (rots, offsets, positions), ctx)
+
+
+def _chain_vjp(g, node, i):
+    """Back from the fingertips: a joint's position gradient reaches every
+    ancestor unchanged, and its parent's rotation through its step."""
+    chains, slots, parents, steps = node.ctx
+    if i == 2:  # every joint moves with the wrist position
+        return g.sum(axis=-2)
+    # (..., N, 5, 4, 3): each level's position gradient plus its descendants'
+    g_pos = np.cumsum(g[..., chains[:, ::-1], :], axis=-2)[..., ::-1, :]
+    out = np.zeros(node.inputs[i].value.shape)
+    if i == 1:
+        for depth in range(CHAIN_LENGTH):  # parent^T g, summed over frames
+            g_step = (parents[depth] * g_pos[..., depth, :, None]).sum(axis=-2)
+            out[..., chains[:, depth], :] = g_step.sum(axis=-3)
+        return out
+    for depth in reversed(range(CHAIN_LENGTH)):
+        g_parent = g_pos[..., depth, :, None] * steps[depth]
+        if depth < CHAIN_LENGTH - 1:  # g_rot: the gradient of this level's rotations
+            child = node.inputs[0].value[..., slots[:, depth], :, :]
+            g_parent = g_parent + g_rot @ np.swapaxes(child, -1, -2)
+            out[..., slots[:, depth], :, :] = np.swapaxes(parents[depth], -1, -2) @ g_rot
+        g_rot = g_parent
+    out[..., 0, :, :] = g_rot.sum(axis=-3)
+    return out
 
 
 # ----- model file -----

@@ -344,17 +344,6 @@ def reprojection_loss(
     return loss_components(traj, obs, skeleton, norm=norm)["loss_2d"]
 
 
-def total_loss(
-    traj: TrajectoryParams,
-    obs: SequenceObservation,
-    skeleton: HandSkeleton,
-    weights: LossWeights = LossWeights(),
-    norm: str = "l2",
-) -> float:
-    """Weighted sum of the four loss terms. Zero-weight terms add nothing."""
-    return loss_components(traj, obs, skeleton, weights, norm)["total"]
-
-
 def make_flat_objective(
     obs: SequenceObservation,
     skeleton: HandSkeleton,

@@ -1,10 +1,11 @@
 """The tape compositions that the fused ops replaced, kept as test-only
-references, and the elementwise primitives they were built from.
+references, and the primitives they were built from.
 
 ``rotation_matrices``, ``acceleration_loss`` and ``_reprojection`` each record
 one node with a hand-written VJP. The functions below record the same
 computations step by step, on ops with one-line VJPs, so the sweep derives
-their gradients by the chain rule. The fused ops must reproduce these values
+their gradients by the chain rule. (The chain walk of ``fk_joints`` is the
+fourth fused op; its reference, ``fk_reference``, is in ``test_hand_model``.) The fused ops must reproduce these values
 bitwise and their gradients to within rounding.
 """
 
@@ -16,7 +17,16 @@ from handsmooth.errors import DegenerateObservationError
 from handsmooth.hand_model import SMALL_ANGLE_SQ
 from handsmooth.objective import DELTA
 
-# ----- elementwise ops, recorded as autodiff records its primitives -----
+# ----- ops recorded as autodiff records its primitives -----
+
+
+def stack(parts, axis=0):
+    value = np.stack([ad.value_of(p) for p in parts], axis=axis)
+    return ad._record(value, _stack_vjp, tuple(parts), axis % value.ndim)
+
+
+def _stack_vjp(g, node, i):
+    return np.take(g, i, axis=node.ctx)
 
 
 def neg(x):
@@ -86,11 +96,11 @@ def rodrigues_reference(aa):
     b = big * ver_c + small * (0.5 - t2 * (1.0 / 24.0))
 
     zeros = np.zeros(ad.value_of(x).shape)
-    k = ad.stack(
+    k = stack(
         [
-            ad.stack([zeros, neg(z), y], axis=-1),
-            ad.stack([z, zeros, neg(x)], axis=-1),
-            ad.stack([neg(y), x, zeros], axis=-1),
+            stack([zeros, neg(z), y], axis=-1),
+            stack([z, zeros, neg(x)], axis=-1),
+            stack([neg(y), x, zeros], axis=-1),
         ],
         axis=-2,
     )

@@ -64,7 +64,7 @@ def test_criterion_2_loss_formulas_are_exact(capsys):
         + weights.acce_position * parts["acce_position"]
         + weights.reprojection * parts["loss_2d"]
     )
-    total = hs.total_loss(traj, obs, skeleton, weights)
+    total = parts["total"]
     sum_err = abs(total - recombined) / max(1.0, abs(total))
     defaults = hs.LossWeights()
     defaults_ok = (

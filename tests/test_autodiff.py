@@ -11,7 +11,7 @@ import handsmooth as hs
 import handsmooth.autodiff as ad
 from handsmooth.errors import AutodiffDomainError
 
-from composed import abs_smooth, cos, mean, sin, sqrt
+from composed import abs_smooth, cos, mean, sin, sqrt, stack
 
 
 def backprop(fn, x):
@@ -30,6 +30,17 @@ def reprojection_case(norm):
     observations of random_problem(3, 2, 0), as a function of the joints."""
     _, obs, _ = hs.random_problem(3, 2, 0)
     return lambda joints: hs.objective._reprojection(joints, obs, norm)
+
+
+def fk_case():
+    """``fk_joints`` at random_problem(3, 2, 0)'s shape, as a function of the
+    orients, positions and joint rotations, and those three arrays."""
+    traj, _, skeleton = hs.random_problem(3, 2, 0)
+
+    def fn(orients, positions, rots):
+        return hs.hand_model.fk_joints(skeleton, traj.shape, orients, positions, rots)
+
+    return fn, (traj.orients, traj.positions, traj.joint_rotations)
 
 
 def joints_of(frames, views, seed):
@@ -65,11 +76,12 @@ PRIMITIVE_CASES = [
     ("sum", ad.sum, (X,)),
     ("sum axis", lambda a: ad.sum(a, axis=-1, keepdims=True), (X,)),
     ("getitem", lambda a: ad.getitem(a, (slice(None), 1)), (X,)),
-    ("getitem int array", lambda a: ad.getitem(a, (Ellipsis, np.array([1, 0]))), (X,)),
-    ("stack", lambda a, b: ad.stack([a, b, P], axis=-1), (X, Y)),
+    ("getitem newaxis", lambda a: ad.getitem(a, (Ellipsis, None, 0)), (X,)),
+    ("stack", lambda a, b: stack([a, b, P], axis=-1), (X, Y)),
     ("concat", lambda a, b: ad.concat([P, a, b], axis=1), (X, Y)),
     # fused ops: one node each, with a hand-written VJP
     ("rotation_matrices", hs.hand_model.rotation_matrices, (AA,)),
+    ("fk_joints", *fk_case()),
     ("acceleration_loss", hs.acceleration_loss, (SERIES,)),
 ] + [(f"reprojection {norm}", reprojection_case(norm), (joints_of(3, 2, 0),))
      for norm in hs.objective.REPROJECTION_NORMS]
@@ -107,7 +119,7 @@ MULTI_OPERAND = [
     ad.mul,
     ad.div,
     ad.matmul,
-    lambda a, b: ad.stack([a, a, b]),
+    lambda a, b: stack([a, a, b]),
     lambda a, b: ad.concat([a, b], axis=1),
 ]
 
@@ -149,12 +161,6 @@ class TestHandComputedGradients:
         value, grad = backprop(lambda x: ad.sum(x[1:3]), np.arange(4.0))
         assert value == 3.0
         assert grad.tolist() == [0.0, 1.0, 1.0, 0.0]
-
-    def test_getitem_integer_array_scatters(self):
-        weights = np.array([1.0, 10.0, 100.0])
-        value, grad = backprop(lambda x: ad.sum(x[np.array([2, 0, 3])] * weights), np.arange(4.0))
-        assert value == 2.0 + 0.0 + 300.0
-        assert grad.tolist() == [10.0, 0.0, 1.0, 100.0]
 
     def test_getitem_reuse_accumulates(self):
         value, grad = backprop(lambda x: x[0] + x[0], [1.5])
@@ -283,16 +289,17 @@ class TestDomainErrors:
     @pytest.mark.parametrize(
         "idx",
         [
-            np.array([1, 1]),
-            [0, 2, 0],
+            np.array([1, 0]),
+            np.array([True, False, True]),
+            [0, 2],
             (Ellipsis, np.array([[0, 1], [1, 2]])),
-            np.array([2, -1]),  # -1 is 2 again on this axis
         ],
     )
     def test_getitem_rejects_index_that_could_repeat(self, idx):
-        # the scatter VJP would add one of the two gradients and drop the other
+        # the VJP assigns g, which is exact only for basic indices: an array
+        # index could select an element twice, so every one is rejected
         for x in (np.arange(3.0), ad.Tensor(np.arange(3.0), ad.Tape())):
-            with pytest.raises(ValueError, match="distinct and non-negative"):
+            with pytest.raises(ValueError, match="basic indices only"):
                 ad.getitem(x, idx)
 
     def test_check_gradient_rejects_bad_step(self):
@@ -356,18 +363,11 @@ class TestFiniteDifferenceAgreement:
 
     def test_stack_and_concat(self):
         def fn(x):
-            s = ad.stack([x * 2.0, x + 1.0], axis=-2)
+            s = stack([x * 2.0, x + 1.0], axis=-2)
             c = ad.concat([s, np.ones(lead(x) + (1, 3))], axis=-2)
             return ad.sum(c * c, axis=(-2, -1))
 
         self.assert_matches_fd(fn, [0.3, -0.8, 1.1])
-
-    def test_integer_array_getitem(self):
-        def fn(x):
-            picked = ad.reshape(x, lead(x) + (2, 4))[..., np.array([3, 0, 2]), None]
-            return ad.sum(sin(picked) * np.array([[1.0, -2.0, 0.5]]), axis=(-3, -2, -1))
-
-        self.assert_matches_fd(fn, np.linspace(-1.0, 1.5, 8))
 
     def test_sum_with_axis_and_division(self):
         def fn(x):

@@ -25,6 +25,8 @@ from handsmooth.hand_model import (
     skeleton_from_dict,
 )
 
+from composed import stack
+
 MODEL_JSON = (
     pathlib.Path(__file__).parent.parent
     / "src"
@@ -52,9 +54,11 @@ def fk_oracle(skeleton, beta, orient, position, joint_rotations):
 
 
 def fk_reference(skeleton, beta, orients, positions, joint_rotations):
-    """FK by a walk over the joints, one parent at a time, on the same tape
-    primitives as ``fk_joints``: the per-joint formulation that the chain-depth
-    version must reproduce bitwise, values and gradients alike."""
+    """FK by a walk over the joints, one parent at a time, on tape primitives:
+    the per-joint formulation whose values the chain-depth walk of
+    ``fk_joints`` must reproduce bitwise, and whose gradients, which the sweep
+    derives by the chain rule, its hand-written VJP must reproduce to within
+    rounding."""
     scales = hs.bone_scales(skeleton, beta)
     lead = ad.value_of(orients).shape[:-1]  # (..., N)
     aa_all = ad.concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
@@ -71,7 +75,7 @@ def fk_reference(skeleton, beta, orients, positions, joint_rotations):
         world_pos[j] = world_pos[p] + ad.sum(rp * step, axis=-1)
         if j in slot:
             world_rot[j] = ad.matmul(rp, rots[..., slot[j], :, :])
-    return ad.stack([world_pos[j] for j in range(21)], axis=-2)
+    return stack([world_pos[j] for j in range(21)], axis=-2)
 
 
 def random_frames(rng, n, scale=0.4):
@@ -356,24 +360,44 @@ def fk_inputs(frames, seed, batched):
     )
 
 
-def fk_gradient(fk, skeleton, frames, seed, live_shape):
-    """Loss and flat gradient of a weighted sum of the joints, through ``fk``."""
-    traj, _, _ = hs.random_problem(frames, 2, seed)
+def fk_objective(fk, skeleton, frames, seed, live_shape=True):
+    """A seeded weighted sum of the joints through ``fk``, as a function of a
+    flat trajectory vector (..., P): a scalar on the tape, (B,) values for
+    the blocks check_gradient evaluates."""
     weights = np.random.default_rng(seed).normal(size=(frames, 21, 3))
 
     def objective(vec):
-        beta = vec[:10] if live_shape else traj.shape
-        per_frame = ad.reshape(vec[10:], (frames, 51))
-        rots = ad.reshape(per_frame[:, 6:51], (frames, 15, 3))
-        joints = fk(skeleton, beta, per_frame[:, 0:3], per_frame[:, 3:6], rots)
-        return ad.sum(joints * weights)
+        lead = ad.value_of(vec).shape[:-1]
+        beta = vec[..., :10] if live_shape else ad.value_of(vec[..., :10])
+        per_frame = ad.reshape(vec[..., 10:], lead + (frames, 51))
+        rots = ad.reshape(per_frame[..., 6:51], lead + (frames, 15, 3))
+        joints = fk(skeleton, beta, per_frame[..., 0:3], per_frame[..., 3:6], rots)
+        return ad.sum(joints * weights, axis=(-3, -2, -1))
 
-    return ad.record_and_backprop(objective, traj.to_flat())
+    return objective
+
+
+def assert_gradient_matches_reference(skeleton, frames, seed, live_shape):
+    """fk_joints against fk_reference at random_problem(frames, 2, seed):
+    equal losses, and gradients within 1e-12 of the reference's largest
+    component, since the two sum their gradients in different orders.
+    Returns the gradient."""
+    flat = hs.random_problem(frames, 2, seed)[0].to_flat()
+    loss, grad = ad.record_and_backprop(
+        fk_objective(fk_joints, skeleton, frames, seed, live_shape), flat
+    )
+    ref_loss, ref_grad = ad.record_and_backprop(
+        fk_objective(fk_reference, skeleton, frames, seed, live_shape), flat
+    )
+    assert loss == ref_loss
+    assert np.all(np.abs(grad - ref_grad) <= 1e-12 * np.abs(ref_grad).max())
+    return grad
 
 
 class TestChainDepthFK:
-    """fk_joints walks the chain table by depth; the per-joint walk of
-    fk_reference is the formulation it must reproduce bit for bit."""
+    """fk_joints walks the chain table by depth and records the walk as one
+    node; the per-joint walk of fk_reference is the formulation it must
+    reproduce, values bit for bit and gradients to within rounding."""
 
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("seed", range(5))
@@ -388,23 +412,38 @@ class TestChainDepthFK:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("frames", [5, 60])
     def test_frozen_shape_gradient_equals_reference_bitwise(self, skeleton, frames, seed):
-        loss, grad = fk_gradient(fk_joints, skeleton, frames, seed, live_shape=False)
-        ref_loss, ref_grad = fk_gradient(fk_reference, skeleton, frames, seed, live_shape=False)
-        assert loss == ref_loss
+        # within rounding, not bitwise: the fused walk sums in its own order
+        grad = assert_gradient_matches_reference(skeleton, frames, seed, live_shape=False)
         assert np.all(grad[:10] == 0.0)
-        assert grad.tobytes() == ref_grad.tobytes()
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("frames", [5, 60])
     def test_live_shape_gradient_matches_reference(self, skeleton, frames, seed):
-        # the shape block sums its step gradients over other axes, so only it
-        # may differ in the last bits
-        loss, grad = fk_gradient(fk_joints, skeleton, frames, seed, live_shape=True)
-        ref_loss, ref_grad = fk_gradient(fk_reference, skeleton, frames, seed, live_shape=True)
-        assert loss == ref_loss
-        assert grad[10:].tobytes() == ref_grad[10:].tobytes()
-        assert np.all(np.abs(grad[:10] - ref_grad[:10]) <= 1e-12 * np.abs(ref_grad[:10]))
-        assert np.all(ref_grad[:10] != 0.0)
+        grad = assert_gradient_matches_reference(skeleton, frames, seed, live_shape=True)
+        assert np.all(grad[:10] != 0.0)
+
+    @pytest.mark.parametrize("live_shape", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_renumbered_gradient_matches_reference(self, skeleton, seed, live_shape):
+        # the walk writes its levels through the chain table and reads their
+        # gradients back through it, and its rotations through the slot table
+        renumbered, _, _ = interleaved(skeleton)
+        assert_gradient_matches_reference(renumbered, 6, seed, live_shape)
+
+    @pytest.mark.parametrize("renumber", [False, True])
+    @pytest.mark.parametrize("angle", [0.0, np.pi - 1e-7])
+    def test_gradient_matches_finite_differences_at_angle_edges(self, skeleton, angle, renumber):
+        # every wrist and joint rotation at zero, or at angle near pi about a
+        # random axis
+        if renumber:
+            skeleton, _, _ = interleaved(skeleton)
+        traj, _, _ = hs.random_problem(3, 2, 0)
+        axes = np.random.default_rng(1).normal(size=(3, 16, 3))
+        aa = angle * axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+        frames = np.concatenate([aa[:, 0], traj.positions, aa[:, 1:].reshape(3, 45)], axis=1)
+        flat = np.concatenate([traj.shape, frames.ravel()])
+        objective = fk_objective(fk_joints, skeleton, 3, 0)
+        assert ad.check_gradient(objective, flat) < 1e-8
 
     def test_table_is_derived_from_parents(self, skeleton):
         renumbered, new_to_old, slot_to_old = interleaved(skeleton)
