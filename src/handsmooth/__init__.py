@@ -17,7 +17,6 @@ from .camera import (
     project_points_masked,
 )
 from .errors import (
-    AutodiffDomainError,
     BehindCameraError,
     DegenerateObservationError,
     DivergedError,
@@ -41,7 +40,6 @@ from .hand_model import (
     NUM_SHAPE_PARAMS,
     HandSkeleton,
     bone_scales,
-    canonicalize_axis_angle,
     load_skeleton,
 )
 from .metrics import (
@@ -93,7 +91,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ABS_SMOOTH_DELTA",
     "AdamWState",
-    "AutodiffDomainError",
     "BehindCameraError",
     "CameraRig",
     "DEFAULT_MODEL",
@@ -129,7 +126,6 @@ __all__ = [
     "acceleration_loss",
     "adamw_step",
     "bone_scales",
-    "canonicalize_axis_angle",
     "check_gradient",
     "corrupt_trajectory",
     "cosine_lr",

@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation on an explicit recording tape.
 
-Values are float64 numpy arrays (scalars are 0-d arrays). Each primitive
-(:func:`add`, :func:`sub`, :func:`mul`, :func:`div`, :func:`matmul`,
-:func:`exp`, :func:`reshape`, :func:`sum`, :func:`getitem`, :func:`concat`)
-is defined once, as a module function. It computes its value with numpy on
-the plain values of its operands and passes that value to ``_record``:
+Values are float64 numpy arrays (scalars are 0-d arrays). Each of the seven
+primitives (:func:`add`, :func:`mul`, :func:`exp`, :func:`reshape`,
+:func:`sum`, :func:`getitem`, :func:`concat`) is defined once, as a module
+function. It computes its value with numpy on the plain values of its
+operands and passes that value to ``_record``:
 
 * when no operand is a :class:`Tensor`, ``_record`` returns the plain value,
   so numerical code written against these functions runs tape-free at numpy
@@ -15,8 +15,9 @@ the plain values of its operands and passes that value to ``_record``:
   module-level VJP function, the operand tuple and a small ``ctx``.
 
 Both paths compute the value with the same expression, so they agree bitwise.
-The Tensor operators (``+ - * / @`` and indexing, reflected forms included)
-delegate to the same functions; unary ``-`` is a multiplication by -1.
+The Tensor operators (``+`` and ``*``, reflected forms included, unary ``-``
+and indexing) delegate to the same functions; unary ``-`` is a
+multiplication by -1.
 
 A fused op is the same pattern one level up: a function in another module
 that evaluates a whole composition with numpy on plain values and makes one
@@ -49,8 +50,6 @@ from itertools import accumulate
 from typing import Callable, Tuple
 
 import numpy as np
-
-from .errors import AutodiffDomainError
 
 # |x| is smoothed as sqrt(x^2 + delta^2) - delta so gradients exist at 0.
 # The same constant is used in the loss and gradient paths.
@@ -93,18 +92,6 @@ class Tensor:
         self.ctx = ctx
         tape.nodes.append(self)
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
-
-    @property
-    def size(self):
-        return self.value.size
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 
@@ -114,29 +101,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -195,48 +164,12 @@ def _add_vjp(g, node, i):
     return g
 
 
-def sub(a, b):
-    return _record(value_of(a) - value_of(b), _sub_vjp, (a, b))
-
-
-def _sub_vjp(g, node, i):
-    return -g if i else g
-
-
 def mul(a, b):
     return _record(value_of(a) * value_of(b), _mul_vjp, (a, b))
 
 
 def _mul_vjp(g, node, i):
     return g * value_of(node.inputs[1 - i])
-
-
-def div(a, b):
-    bv = value_of(b)
-    if np.any(bv == 0.0):
-        raise AutodiffDomainError("div", "zero denominator")
-    return _record(value_of(a) / bv, _div_vjp, (a, b))
-
-
-def _div_vjp(g, node, i):
-    a, b = node.inputs
-    bv = value_of(b)
-    return -g * value_of(a) / (bv * bv) if i else g / bv
-
-
-def matmul(a, b):
-    """Matrix product with broadcast leading batch dims; operands ndim >= 2."""
-    av, bv = value_of(a), value_of(b)
-    if av.ndim < 2 or bv.ndim < 2:
-        raise ValueError("matmul operands must have ndim >= 2")
-    return _record(av @ bv, _matmul_vjp, (a, b))
-
-
-def _matmul_vjp(g, node, i):
-    a, b = node.inputs
-    if i:
-        return np.swapaxes(value_of(a), -1, -2) @ g
-    return g @ np.swapaxes(value_of(b), -1, -2)
 
 
 def exp(x):

@@ -21,6 +21,10 @@ _EYE3 = np.eye(3)
 _ORTHONORMAL_TOL = 1e-9 + 1e-5 * _EYE3
 _DET_TOL = 1e-9 + 1e-5
 
+# The largest translation noise range: rng.uniform needs the width 2 * range
+# to be finite.
+_MAX_NOISE_RANGE = np.finfo(float).max / 2.0
+
 
 @dataclass(frozen=True)
 class Intrinsics:
@@ -114,22 +118,23 @@ def project_points_masked(points, view):
     """Project a batch of world points, masking instead of raising.
 
     Args:
-        points: (..., 3) world points, Tensor or array.
+        points: (..., 3) world points. A Tensor is read by its value; nothing
+            is recorded.
     Returns:
-        (u, v, in_front) where u, v are (...,) pixel coordinates of the same
-        kind as ``points`` and in_front is a plain bool array. Entries behind
-        the camera use a placeholder depth of 1 so the division stays finite;
-        callers must ignore those pixels via the mask.
+        (u, v, in_front), plain arrays: u, v are the (...,) pixel coordinates
+        and in_front is a bool mask. Entries behind the camera use a
+        placeholder depth of 1 so the division stays finite; callers must
+        ignore those pixels via the mask.
 
     The objective and the synthetic renderer both project through this
     function, so exact observations reproduce bitwise under re-evaluation.
     """
     intr, extr = view
-    cam = ad.matmul(points, extr.rotation.T) + extr.translation
+    cam = ad.value_of(points) @ extr.rotation.T + extr.translation
     x = cam[..., 0]
     y = cam[..., 1]
     z = cam[..., 2]
-    in_front = ad.value_of(z) > MIN_DEPTH
+    in_front = z > MIN_DEPTH
     m = in_front.astype(float)
     z_safe = z * m + (1.0 - m)
     u = x / z_safe * intr.fx + intr.cx
@@ -143,7 +148,9 @@ def perturb_extrinsics(
     """Add per-component Uniform(-noise_range, noise_range) meters to the
     translation; the rotation is untouched. Deterministic given the rng state.
     """
-    if noise_range < 0:
-        raise ValueError("noise_range must be >= 0")
+    if not 0.0 <= noise_range <= _MAX_NOISE_RANGE:
+        raise ValueError(
+            f"noise_range must be in [0, {_MAX_NOISE_RANGE:.6g}], got {noise_range!r}"
+        )
     delta = rng.uniform(-noise_range, noise_range, size=3)
     return Extrinsics(extr.rotation, extr.translation + delta)

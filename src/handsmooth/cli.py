@@ -5,7 +5,7 @@ refinement), eval (metrics against ground truth), perturb (camera extrinsic
 noise), gradcheck (autodiff verification against finite differences).
 
 Exit codes: 0 success, 1 usage or schema error, 2 numerical failure
-(divergence, degenerate observations, domain errors). Set HANDSMOOTH_LOG to
+(divergence, degenerate observations). Set HANDSMOOTH_LOG to
 DEBUG/INFO/WARNING to control log verbosity.
 """
 
@@ -22,7 +22,6 @@ import numpy as np
 from . import camera as cam
 from . import formats, metrics, smoother, synth
 from .errors import (
-    AutodiffDomainError,
     DegenerateObservationError,
     DivergedError,
     SchemaError,
@@ -272,7 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateObservationError, AutodiffDomainError, DivergedError) as e:
+    except (DegenerateObservationError, DivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SchemaError, SpecError, ValueError, OSError) as e:

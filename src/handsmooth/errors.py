@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: schema / spec / argument problems exit
-with 1, numerical failures (degenerate observations, diverged optimization,
-autodiff domain violations) exit with 2.
+with 1, numerical failures (degenerate observations, diverged optimization)
+exit with 2.
 """
 
 from __future__ import annotations
@@ -26,14 +26,6 @@ class BehindCameraError(ValueError):
 
 class DegenerateObservationError(ValueError):
     """No landmark is both visible and in front of any camera."""
-
-
-class AutodiffDomainError(ArithmeticError):
-    """An operation was recorded outside its domain (e.g. sqrt of a negative)."""
-
-    def __init__(self, op: str, detail: str):
-        self.op = op
-        super().__init__(f"{op}: {detail}")
 
 
 class DivergedError(RuntimeError):

@@ -112,16 +112,6 @@ class HandSkeleton:
         return self._slots
 
 
-def canonicalize_axis_angle(aa: np.ndarray) -> np.ndarray:
-    """Wrap axis-angle magnitudes into (-pi, pi]; the rotation is unchanged."""
-    aa = np.asarray(aa, dtype=float)
-    theta = np.linalg.norm(aa, axis=-1)
-    wrapped = np.remainder(theta, 2.0 * np.pi)
-    wrapped = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
-    scale = np.where(theta > 0.0, wrapped / np.where(theta > 0.0, theta, 1.0), 1.0)
-    return aa * scale[..., None]
-
-
 def rotation_matrices(aa):
     """Rodrigues map for a batch of axis-angle vectors, shape (..., 3) -> (..., 3, 3).
 
@@ -143,7 +133,7 @@ def rotation_matrices(aa):
     t2 = x * x + y * y + z * z
     small = (t2 < SMALL_ANGLE_SQ).astype(float)
     big = 1.0 - small
-    t2_safe = t2 * big + small  # 1.0 where masked, keeps sqrt and div finite
+    t2_safe = t2 * big + small  # 1.0 where masked, keeps sqrt and the division finite
     theta = np.sqrt(t2_safe)
     sin_c = np.sin(theta) / theta
     s_half = np.sin(theta * 0.5)

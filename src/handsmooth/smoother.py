@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import AutodiffDomainError, DegenerateObservationError, DivergedError
+from .errors import DegenerateObservationError, DivergedError
 from .formats import dump_json
 from .hand_model import NUM_SHAPE_PARAMS, HandSkeleton
 from .objective import (
@@ -211,7 +211,7 @@ def smooth(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grad = ad.record_and_backprop(objective, params)
-        except (DegenerateObservationError, AutodiffDomainError) as e:
+        except DegenerateObservationError as e:
             if it == 0:
                 raise  # the input itself is unevaluable, not a divergence
             raise DivergedError(

@@ -5,8 +5,13 @@ references, and the primitives they were built from.
 one node with a hand-written VJP. The functions below record the same
 computations step by step, on ops with one-line VJPs, so the sweep derives
 their gradients by the chain rule. (The chain walk of ``fk_joints`` is the
-fourth fused op; its reference, ``fk_reference``, is in ``test_hand_model``.) The fused ops must reproduce these values
-bitwise and their gradients to within rounding.
+fourth fused op; its reference, ``fk_reference``, is in ``test_hand_model``.)
+The fused ops must reproduce these values bitwise and their gradients to
+within rounding.
+
+``autodiff.Tensor`` has operators for ``+``, ``*``, unary ``-`` and indexing
+only; subtraction, division and matrix products are called as the functions
+:func:`sub`, :func:`div` and :func:`matmul`.
 """
 
 import numpy as np
@@ -18,6 +23,39 @@ from handsmooth.hand_model import SMALL_ANGLE_SQ
 from handsmooth.objective import DELTA
 
 # ----- ops recorded as autodiff records its primitives -----
+
+
+def sub(a, b):
+    return ad._record(ad.value_of(a) - ad.value_of(b), _sub_vjp, (a, b))
+
+
+def _sub_vjp(g, node, i):
+    return -g if i else g
+
+
+def div(a, b):
+    return ad._record(ad.value_of(a) / ad.value_of(b), _div_vjp, (a, b))
+
+
+def _div_vjp(g, node, i):
+    a, b = node.inputs
+    bv = ad.value_of(b)
+    return -g * ad.value_of(a) / (bv * bv) if i else g / bv
+
+
+def matmul(a, b):
+    """Matrix product with broadcast leading batch dims; operands ndim >= 2."""
+    av, bv = ad.value_of(a), ad.value_of(b)
+    if av.ndim < 2 or bv.ndim < 2:
+        raise ValueError("matmul operands must have ndim >= 2")
+    return ad._record(av @ bv, _matmul_vjp, (a, b))
+
+
+def _matmul_vjp(g, node, i):
+    a, b = node.inputs
+    if i:
+        return np.swapaxes(ad.value_of(a), -1, -2) @ g
+    return g @ np.swapaxes(ad.value_of(b), -1, -2)
 
 
 def stack(parts, axis=0):
@@ -74,7 +112,7 @@ def _abs_smooth_vjp(g, node, i):
 
 def mean(x, axis=None):
     total = ad.sum(x, axis)
-    return total / float(ad.value_of(x).size // ad.value_of(total).size)
+    return div(total, float(ad.value_of(x).size // ad.value_of(total).size))
 
 
 # ----- the compositions -----
@@ -89,11 +127,11 @@ def rodrigues_reference(aa):
     big = 1.0 - small
     t2_safe = t2 * big + small
     theta = sqrt(t2_safe)
-    sin_c = sin(theta) / theta
+    sin_c = div(sin(theta), theta)
     s_half = sin(theta * 0.5)
-    ver_c = (s_half * s_half) * 2.0 / t2_safe
-    a = big * sin_c + small * (1.0 - t2 * (1.0 / 6.0))
-    b = big * ver_c + small * (0.5 - t2 * (1.0 / 24.0))
+    ver_c = div((s_half * s_half) * 2.0, t2_safe)
+    a = big * sin_c + small * sub(1.0, t2 * (1.0 / 6.0))
+    b = big * ver_c + small * sub(0.5, t2 * (1.0 / 24.0))
 
     zeros = np.zeros(ad.value_of(x).shape)
     k = stack(
@@ -112,24 +150,40 @@ def rodrigues_reference(aa):
     a_m = ad.reshape(a, lead + (1, 1))
     b_m = ad.reshape(b, lead + (1, 1))
     t2_m = ad.reshape(t2, lead + (1, 1))
-    return eye + a_m * k + b_m * (outer - t2_m * eye)
+    return eye + a_m * k + b_m * sub(outer, t2_m * eye)
 
 
 def acceleration_reference(series):
-    d2 = series[..., 2:, :] - series[..., 1:-1, :] * 2.0 + series[..., :-2, :]
+    d2 = sub(series[..., 2:, :], series[..., 1:-1, :] * 2.0) + series[..., :-2, :]
     return mean(abs_smooth(d2), axis=(-2, -1))
+
+
+def project_reference(points, view):
+    """``camera.project_points_masked`` recorded step by step: (u, v, in_front)
+    of (..., 3) points, Tensor or array."""
+    intr, extr = view
+    p_cam = matmul(points, extr.rotation.T) + extr.translation
+    x = p_cam[..., 0]
+    y = p_cam[..., 1]
+    z = p_cam[..., 2]
+    in_front = ad.value_of(z) > cam.MIN_DEPTH
+    m = in_front.astype(float)
+    z_safe = z * m + (1.0 - m)
+    u = div(x, z_safe) * intr.fx + intr.cx
+    v = div(y, z_safe) * intr.fy + intr.cy
+    return u, v, in_front
 
 
 def reprojection_reference(joints, obs, norm):
     count = 0.0
     total = None
     for vi, view in enumerate(obs.rig.views):
-        u, v, in_front = cam.project_points_masked(joints, view)
+        u, v, in_front = project_reference(joints, view)
         mask = (obs.visibility[:, vi] & in_front).astype(float)
-        du = u - obs.landmarks_2d[:, vi, :, 0]
-        dv = v - obs.landmarks_2d[:, vi, :, 1]
+        du = sub(u, obs.landmarks_2d[:, vi, :, 0])
+        dv = sub(v, obs.landmarks_2d[:, vi, :, 1])
         if norm == "l2":
-            dist = sqrt(du * du + dv * dv + DELTA * DELTA) - DELTA
+            dist = sub(sqrt(du * du + dv * dv + DELTA * DELTA), DELTA)
         elif norm == "l2_squared":
             dist = du * du + dv * dv
         else:
@@ -139,4 +193,4 @@ def reprojection_reference(joints, obs, norm):
         total = s if total is None else total + s
     if np.any(count == 0.0):
         raise DegenerateObservationError("no landmark is visible and in front of a camera")
-    return total / count
+    return div(total, count)

@@ -1,5 +1,5 @@
 """Reverse-mode tape: hand-computed gradients, finite-difference checks,
-and domain-error behavior."""
+and rejected inputs."""
 
 import gc
 from dataclasses import replace
@@ -9,9 +9,9 @@ import pytest
 
 import handsmooth as hs
 import handsmooth.autodiff as ad
-from handsmooth.errors import AutodiffDomainError
+from handsmooth.errors import DegenerateObservationError
 
-from composed import abs_smooth, cos, mean, sin, sqrt, stack
+from composed import abs_smooth, cos, div, matmul, mean, sin, sqrt, stack, sub
 
 
 def backprop(fn, x):
@@ -61,16 +61,13 @@ PRIMITIVE_CASES = [
     ("add", ad.add, (X, Y)),
     ("add scalar", ad.add, (2.0, X)),
     ("reflected add", lambda a: Y + a, (X,)),
-    ("sub", ad.sub, (X, Y)),
-    ("reflected sub", lambda a: 2.0 - a, (X,)),
+    ("sub", sub, (X, Y)),
     ("unary minus", lambda a: -a, (X,)),
     ("mul", ad.mul, (X, Y)),
     ("reflected mul", lambda a: 3.0 * a, (X,)),
-    ("div", ad.div, (X, Y)),
-    ("div scalar", ad.div, (X, 4.0)),
-    ("reflected div", lambda a: 1.0 / a, (X,)),
-    ("matmul", ad.matmul, (X, Y)),
-    ("reflected matmul", lambda b: Y @ b, (X,)),
+    ("div", div, (X, Y)),
+    ("div scalar", div, (X, 4.0)),
+    ("matmul", matmul, (X, Y)),
     ("exp", ad.exp, (X,)),
     ("reshape", lambda a: ad.reshape(a, (4,)), (X,)),
     ("sum", ad.sum, (X,)),
@@ -115,10 +112,10 @@ FUSED_GRADIENT_CASES = [
 # Every primitive that takes more than one operand, applied to two Tensors.
 MULTI_OPERAND = [
     ad.add,
-    ad.sub,
+    sub,
     ad.mul,
-    ad.div,
-    ad.matmul,
+    div,
+    matmul,
     lambda a, b: stack([a, a, b]),
     lambda a, b: ad.concat([a, b], axis=1),
 ]
@@ -148,7 +145,7 @@ class TestHandComputedGradients:
 
     def test_division_and_reciprocal(self):
         # f(x) = 1/x at 2: grad -1/x^2 = -0.25
-        value, grad = backprop(lambda x: ad.sum(1.0 / x), [2.0])
+        value, grad = backprop(lambda x: ad.sum(div(1.0, x)), [2.0])
         assert value == 0.5
         assert grad.tolist() == [-0.25]
 
@@ -177,7 +174,7 @@ class TestHandComputedGradients:
         def fn(x):
             a, d = x * 2.0, x * 3.0
             e = a * 5.0 if late_use == "mul" else a[0:1] * 5.0
-            return ad.sum((a + d) * w) + ad.sum(e * v[: e.size])
+            return ad.sum((a + d) * w) + ad.sum(e * v[: e.value.size])
 
         _, grad = backprop(fn, [1.0, 2.0])
         e_share = 5.0 * v if late_use == "mul" else [500.0, 0.0]
@@ -191,7 +188,7 @@ class TestHandComputedGradients:
         assert np.array_equal(grad, np.full(3, 4.0))
 
     def test_rsub_and_neg(self):
-        value, grad = backprop(lambda x: ad.sum(1.0 - (-x)), [2.0, 3.0])
+        value, grad = backprop(lambda x: ad.sum(sub(1.0, -x)), [2.0, 3.0])
         assert value == 7.0
         assert grad.tolist() == [1.0, 1.0]
 
@@ -242,14 +239,23 @@ class TestTensorMechanics:
             gc.enable()
 
     def test_raising_objective_empties_its_tape(self):
+        # the one visible landmark is behind its camera, so the reprojection
+        # term raises after forward kinematics has recorded its nodes
+        traj, obs, skeleton = hs.random_problem(3, 1, seed=0)
+        intr, extr = obs.rig.views[0]
+        visibility = np.zeros_like(obs.visibility)
+        visibility[0, 0, 0] = True
+        behind = replace(extr, translation=np.array([0.0, 0.0, -10.0]))
+        obs = replace(obs, visibility=visibility, rig=hs.CameraRig(views=((intr, behind),)))
+        flat_objective = hs.make_flat_objective(obs, skeleton)
         tapes = []
 
         def objective(x):
             tapes.append(x.tape)
-            return ad.sum(np.ones(2) / x)
+            return flat_objective(x)
 
-        with pytest.raises(AutodiffDomainError):
-            ad.record_and_backprop(objective, np.zeros(2))
+        with pytest.raises(DegenerateObservationError):
+            ad.record_and_backprop(objective, traj.to_flat())
         assert tapes[0].nodes == []
 
     def test_objective_must_return_scalar_tensor(self):
@@ -262,7 +268,6 @@ class TestTensorMechanics:
         x = np.array([0.5, 1.5])
         assert isinstance(ad.exp(x), np.ndarray)
         assert isinstance(hs.hand_model.rotation_matrices(AA), np.ndarray)
-        assert isinstance(ad.matmul(np.eye(2), np.eye(2)), np.ndarray)
         # one definition per primitive: plain and taped values agree bitwise
         for label, fn, operands in PRIMITIVE_CASES:
             plain = fn(*operands)
@@ -272,20 +277,11 @@ class TestTensorMechanics:
             taped = fn(*(ad.Tensor(o, tape) if isinstance(o, np.ndarray) else o
                          for o in operands))
             assert isinstance(taped, ad.Tensor) and taped.tape is tape, label
-            assert plain.dtype == float and plain.shape == taped.shape, label
+            assert plain.dtype == float and plain.shape == taped.value.shape, label
             assert plain.tobytes() == taped.value.tobytes(), label
 
 
 class TestDomainErrors:
-    def test_division_by_zero(self):
-        def fn(x):
-            return ad.sum(x / np.array([1.0, 0.0]))
-
-        with pytest.raises(AutodiffDomainError) as err:
-            backprop(fn, [1.0, 1.0])
-        assert err.value.op == "div"
-        assert "div" in str(err.value)
-
     @pytest.mark.parametrize(
         "idx",
         [
@@ -347,7 +343,7 @@ class TestFiniteDifferenceAgreement:
 
         def fn(x):
             m = ad.reshape(x, lead(x) + (3, 2))
-            prod = ad.matmul(a, m)
+            prod = matmul(a, m)
             return ad.sum(prod * prod, axis=(-2, -1))
 
         self.assert_matches_fd(fn, np.linspace(0.2, 1.3, 6))
@@ -357,7 +353,7 @@ class TestFiniteDifferenceAgreement:
 
         def fn(x):
             m = ad.reshape(x, lead(x) + (2, 3, 3))
-            return ad.sum(ad.matmul(b, m), axis=(-3, -2, -1))
+            return ad.sum(matmul(b, m), axis=(-3, -2, -1))
 
         self.assert_matches_fd(fn, np.linspace(0.1, 1.8, 18))
 
@@ -374,7 +370,7 @@ class TestFiniteDifferenceAgreement:
             m = ad.reshape(x, lead(x) + (2, 4))
             row = ad.sum(m, axis=-1)
             norm = ad.sum(ad.sum(m * m, axis=-1), axis=-1, keepdims=True)
-            return ad.sum(row / (norm + 1.0), axis=-1)
+            return ad.sum(div(row, norm + 1.0), axis=-1)
 
         self.assert_matches_fd(fn, np.linspace(-1.0, 1.5, 8))
 

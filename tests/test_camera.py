@@ -128,26 +128,31 @@ class TestMaskedProjection:
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
 
     def test_gradient_flows_only_through_visible(self):
-        # callers exclude behind-camera points by multiplying with the mask;
-        # this mirrors how the objective consumes the projection
-        view = identity_view()
-        target = np.array([300.0, 200.0])
+        # the objective's fused reprojection consumes the projection through
+        # its mask: every landmark is visible, and the one joint behind the
+        # camera gets exactly zero gradient
+        rng = np.random.default_rng(7)
+        points = rng.normal(0.0, 0.1, (1, 21, 3)) + [0.0, 0.0, 0.8]
+        points[0, 5, 2] = -0.5
+        obs = hs.SequenceObservation(
+            landmarks_2d=rng.uniform(100.0, 400.0, (1, 1, 21, 2)),
+            visibility=np.ones((1, 1, 21), dtype=bool),
+            rig=hs.CameraRig(views=(identity_view(),)),
+        )
+        flat = points.ravel()
+        for norm in hs.REPROJECTION_NORMS:
 
-        def objective(flat):
-            # (..., 6) -> (..., 1, 2, 3): check_gradient also passes blocks
-            pts = ad.reshape(flat, ad.value_of(flat).shape[:-1] + (1, 2, 3))
-            u, v, in_front = hs.project_points_masked(pts, view)
-            mask = in_front.astype(float)
-            du = u - target[0]
-            dv = v - target[1]
-            return ad.sum((du * du + dv * dv) * mask, axis=(-2, -1))
+            def objective(x):
+                # (..., 63) -> (..., 1, 21, 3): check_gradient also passes blocks
+                joints = ad.reshape(x, ad.value_of(x).shape[:-1] + (1, 21, 3))
+                return hs.objective._reprojection(joints, obs, norm)
 
-        # one point in front, one behind; FD and AD must agree (mask constant)
-        flat = np.array([0.1, 0.05, 0.8, 0.2, 0.1, -0.5])
-        err = ad.check_gradient(objective, flat)
-        assert err < 1e-6
-        _, grad = ad.record_and_backprop(objective, flat)
-        assert np.all(grad[3:] == 0.0)
+            # FD and AD must agree (the mask is constant near this point)
+            assert ad.check_gradient(objective, flat) < 1e-6, norm
+            _, grad = ad.record_and_backprop(objective, flat)
+            grad = grad.reshape(21, 3)
+            assert np.all(grad[5] == 0.0), norm
+            assert np.all(np.delete(grad, 5, axis=0).any(axis=-1)), norm
 
 
 class TestValidation:
@@ -212,5 +217,7 @@ class TestPerturbation:
     def test_negative_range_rejected(self):
         rng = np.random.default_rng(6)
         extr = random_view(rng)[1]
-        with pytest.raises(ValueError):
-            hs.perturb_extrinsics(extr, rng, noise_range=-0.1)
+        # rng.uniform cannot draw from a range whose width 2 * r overflows
+        for r in (-0.1, np.nan, np.inf, 1e308):
+            with pytest.raises(ValueError, match="noise_range"):
+                hs.perturb_extrinsics(extr, rng, noise_range=r)

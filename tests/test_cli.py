@@ -266,6 +266,14 @@ class TestPerturb:
         assert exc.value.code == 1
         assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
+    def test_overflowing_range_exits_1_without_output(self, fixtures_dir, tmp_path, capsys):
+        # finite, but the sampled width 2 * range is not
+        out = tmp_path / "out.json"
+        src = str(fixtures_dir / "sequence_small.json")
+        assert main(["perturb", src, str(out), "--range", "1e308"]) == 1
+        assert capsys.readouterr().err.startswith("error: noise_range must be in [0, ")
+        assert not out.exists()
+
     def test_only_translations_change(self, fixtures_dir, tmp_path):
         out = tmp_path / "moved.json"
         src = fixtures_dir / "sequence_small.json"

@@ -124,15 +124,26 @@ class TestFixturesLoad:
         assert report.reproj_px >= 0.0
         assert record_to_dict(report) == d
 
-    def test_generator_reproduces_every_fixture_byte_for_byte(self, fixtures_dir, tmp_path):
+    def test_generator_reproduces_every_fixture_byte_for_byte(
+        self, fixtures_dir, tmp_path, capsys
+    ):
         gen = load_gen_fixtures()
-        gen.main(tmp_path)
         # main() writes seven fixtures; the eighth, the gradient oracle, is
-        # recorded once and never regenerated, so it is not compared here
+        # recorded once and never regenerated, so it is not compared here,
+        # and a stray one in the output directory is neither touched nor
+        # reported as written
+        stray = tmp_path / gen.GRADIENT_ORACLE
+        stray.write_text("stray\n")
+        gen.main(tmp_path)
         committed = sorted(p.name for p in fixtures_dir.iterdir())
         assert len(committed) == 8 and gen.GRADIENT_ORACLE in committed
         committed.remove(gen.GRADIENT_ORACLE)
-        assert sorted(p.name for p in tmp_path.iterdir()) == committed
+        assert stray.read_text() == "stray\n"
+        assert sorted(p.name for p in tmp_path.iterdir() if p != stray) == committed
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(line.split()[1] for line in printed) == [
+            str(tmp_path / name) for name in committed
+        ]
         for name in committed:
             assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
 

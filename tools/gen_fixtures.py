@@ -147,13 +147,19 @@ def write_gradient_oracle(out_dir=FIXTURES):
 def main(out_dir=FIXTURES):
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    formats.save_motion_spec(out / "motion_demo.json", motion_demo())
-    formats.save_noise_spec(out / "noise_demo.json", noise_demo())
-    formats.save_motion_spec(out / "acceptance_motion.json", acceptance_motion())
-    formats.save_noise_spec(out / "acceptance_noise.json", acceptance_noise())
+    written = []
+
+    def target(name):
+        written.append(out / name)
+        return written[-1]
+
+    formats.save_motion_spec(target("motion_demo.json"), motion_demo())
+    formats.save_noise_spec(target("noise_demo.json"), noise_demo())
+    formats.save_motion_spec(target("acceptance_motion.json"), acceptance_motion())
+    formats.save_noise_spec(target("acceptance_noise.json"), acceptance_noise())
 
     seq = small_sequence()
-    formats.save_sequence(out / "sequence_small.json", seq)
+    formats.save_sequence(target("sequence_small.json"), seq)
 
     refined, report = hs.smooth(
         seq.init,
@@ -167,12 +173,12 @@ def main(out_dir=FIXTURES):
         )
         for traj in (seq.init, refined)
     )
-    report.save(out / "loss_report.json")
+    report.save(target("loss_report.json"))
 
     metric = hs.evaluate(seq.init, seq.ground_truth, seq.observations, seq.skeleton)
-    formats.dump_json(formats.record_to_dict(metric), out / "metric_report.json")
+    formats.dump_json(formats.record_to_dict(metric), target("metric_report.json"))
 
-    for p in sorted(out.iterdir()):
+    for p in written:
         print(f"wrote {p} ({p.stat().st_size} bytes)")
 
 
