@@ -15,9 +15,8 @@ operands and passes that value to ``_record``:
   module-level VJP function, the operand tuple and a small ``ctx``.
 
 Both paths compute the value with the same expression, so they agree bitwise.
-The Tensor operators (``+`` and ``*``, reflected forms included, unary ``-``
-and indexing) delegate to the same functions; unary ``-`` is a
-multiplication by -1.
+The Tensor operators (``+``, ``*``, reflected ``*`` and indexing) delegate
+to the same functions.
 
 A fused op is the same pattern one level up: a function in another module
 that evaluates a whole composition with numpy on plain values and makes one
@@ -60,6 +59,9 @@ ABS_SMOOTH_DELTA = 1e-8
 # and keeps the added peak memory near 1.5 MB; 64 rows doubled that.
 FD_BLOCK = 32
 
+# The central-difference step of check_gradient.
+FD_STEP = 1e-6
+
 
 class Tape:
     """Append-only record of one evaluation."""
@@ -98,17 +100,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -188,15 +184,13 @@ def _reshape_vjp(g, node, i):
     return g.reshape(node.inputs[0].value.shape)
 
 
-def sum(x, axis=None, keepdims=False):  # noqa: A001 - numpy-style name
-    value = value_of(x).sum(axis=axis, keepdims=keepdims)
-    return _record(value, _sum_vjp, (x,), (axis, keepdims))
+def sum(x, axis=None):  # noqa: A001 - numpy-style name
+    return _record(value_of(x).sum(axis=axis), _sum_vjp, (x,), axis)
 
 
 def _sum_vjp(g, node, i):
-    axis, keepdims = node.ctx
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
+    if node.ctx is not None:
+        g = np.expand_dims(g, node.ctx)
     return np.broadcast_to(g, node.inputs[0].value.shape)
 
 
@@ -274,11 +268,12 @@ def record_and_backprop(
     return float(out.value), np.asarray(grad, dtype=float).reshape(params.shape)
 
 
-def check_gradient(objective: Callable, params: np.ndarray, h: float = 1e-6) -> float:
+def check_gradient(objective: Callable, params: np.ndarray) -> float:
     """Compare tape gradients against central finite differences.
 
     Returns max_i |grad_ad[i] - grad_fd[i]| / max(1, |grad_fd[i]|), with
-    grad_fd[i] = (f(params + h e_i) - f(params - h e_i)) / (2 h).
+    grad_fd[i] = (f(params + h e_i) - f(params - h e_i)) / (2 h) and
+    h = ``FD_STEP``.
 
     ``params`` is a flat (P,) vector and the tape side is one
     :func:`record_and_backprop` there. The finite-difference side is an
@@ -288,8 +283,7 @@ def check_gradient(objective: Callable, params: np.ndarray, h: float = 1e-6) -> 
     ``params[i] - h``. The objective must return (B,) values, row b's equal
     to its value at row b alone; any other shape raises ValueError.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    h = FD_STEP
     params = np.asarray(params, dtype=float)
     _, grad_ad = record_and_backprop(objective, params)
     # values[2i] = f(params + h e_i), values[2i + 1] = f(params - h e_i)

@@ -15,7 +15,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -91,22 +91,12 @@ def cmd_generate(args) -> int:
 
 def cmd_smooth(args) -> int:
     seq = formats.load_sequence(args.input)
+
+    def given(cls):  # the fields of cls that a flag set; the rest keep their defaults
+        return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
     config = smoother.SmootherConfig(
-        learning_rate=args.lr,
-        lr_min=args.lr_min,
-        max_iters=args.iters,
-        weights=LossWeights(
-            acce_pose=args.lambda_pose,
-            acce_orients=args.lambda_orients,
-            acce_position=args.lambda_position,
-            reprojection=args.lambda_2d,
-        ),
-        weight_decay=args.weight_decay,
-        adam_beta1=args.adam_beta1,
-        adam_beta2=args.adam_beta2,
-        adam_eps=args.adam_eps,
-        optimize_shape=args.optimize_shape,
-        reprojection_norm=args.norm,
+        weights=LossWeights(**given(LossWeights)), **given(smoother.SmootherConfig)
     )
     try:
         refined, report = smoother.smooth(
@@ -121,7 +111,8 @@ def cmd_smooth(args) -> int:
         report.initial_metrics, report.final_metrics = (
             formats.record_to_dict(
                 metrics.evaluate(
-                    traj, seq.ground_truth, seq.observations, seq.skeleton, args.norm
+                    traj, seq.ground_truth, seq.observations, seq.skeleton,
+                    config.reprojection_norm,
                 )
             )
             for traj in (seq.init, refined)
@@ -133,7 +124,7 @@ def cmd_smooth(args) -> int:
     last = report.entries[-1].total
     print(
         f"wrote {args.output}: total loss {first:.6g} -> {last:.6g} "
-        f"after {args.iters} iterations"
+        f"after {config.max_iters} iterations"
     )
     if report.non_improving:
         print("warning: final loss is not below the initial loss", file=sys.stderr)
@@ -210,27 +201,31 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("smooth", help="refine a trajectory against observations")
+    # Every config flag's dest is its SmootherConfig or LossWeights field,
+    # and only --report has a default here: the dataclasses hold the rest.
+    p = sub.add_parser("smooth", help="refine a trajectory against observations",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("input", help="sequence file to refine")
     p.add_argument("output", help="refined sequence file to write")
-    p.add_argument("--lr", type=_float_at_least(0.0, strict=True), default=1e-2)
-    p.add_argument("--lr-min", type=_float_at_least(0.0), default=0.0)
-    p.add_argument("--iters", type=_int_at_least(1), default=500)
-    p.add_argument("--lambda-pose", type=_float_at_least(0.0), default=0.5,
-                   help="joint-rotation acceleration weight")
-    p.add_argument("--lambda-orients", type=_float_at_least(0.0), default=0.5,
-                   help="wrist-orientation acceleration weight")
-    p.add_argument("--lambda-position", type=_float_at_least(0.0), default=0.5,
-                   help="wrist-position acceleration weight")
-    p.add_argument("--lambda-2d", type=_float_at_least(0.0), default=1.0,
-                   help="reprojection weight")
-    p.add_argument("--weight-decay", type=_float_at_least(0.0), default=0.0)
-    p.add_argument("--adam-beta1", type=float, default=0.9)
-    p.add_argument("--adam-beta2", type=float, default=0.999)
-    p.add_argument("--adam-eps", type=_float_at_least(0.0, strict=True), default=1e-8)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR",
+                   type=_float_at_least(0.0, strict=True))
+    p.add_argument("--lr-min", type=_float_at_least(0.0))
+    p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=_int_at_least(1))
+    p.add_argument("--lambda-pose", dest="acce_pose", metavar="LAMBDA_POSE",
+                   type=_float_at_least(0.0), help="joint-rotation acceleration weight")
+    p.add_argument("--lambda-orients", dest="acce_orients", metavar="LAMBDA_ORIENTS",
+                   type=_float_at_least(0.0), help="wrist-orientation acceleration weight")
+    p.add_argument("--lambda-position", dest="acce_position", metavar="LAMBDA_POSITION",
+                   type=_float_at_least(0.0), help="wrist-position acceleration weight")
+    p.add_argument("--lambda-2d", dest="reprojection", metavar="LAMBDA_2D",
+                   type=_float_at_least(0.0), help="reprojection weight")
+    p.add_argument("--weight-decay", type=_float_at_least(0.0))
+    p.add_argument("--adam-beta1", type=float)
+    p.add_argument("--adam-beta2", type=float)
+    p.add_argument("--adam-eps", type=_float_at_least(0.0, strict=True))
     p.add_argument("--optimize-shape", action="store_true",
                    help="let the shared shape coefficients move too")
-    p.add_argument("--norm", choices=REPROJECTION_NORMS, default="l2")
+    p.add_argument("--norm", dest="reprojection_norm", choices=REPROJECTION_NORMS)
     p.add_argument("--report", default=None,
                    help="loss trace path (.json for JSON, else CSV)")
     p.set_defaults(func=cmd_smooth)

@@ -263,46 +263,6 @@ def _live(x, weight):
     return x if weight != 0.0 else ad.value_of(x)
 
 
-def _loss_terms(shape_vec, orients, positions, joint_rots, obs, skeleton, weights, norm):
-    """The four unweighted terms, keyed by TERMS, and their weighted total.
-
-    Inputs are shaped as ``_split_flat`` returns them, joint rotations as
-    (..., N, 45), and every term and the total have the batch shape (...).
-    A term with a nonzero weight is evaluated on the inputs as given, so it
-    records when they are tape Tensors. A zero-weight term is evaluated on
-    their plain values: it is still reported, but stays off the tape and out
-    of the gradient, and adds nothing to the total.
-    """
-    ws = (weights.acce_pose, weights.acce_orients, weights.acce_position, weights.reprojection)
-    terms = {
-        "acce_pose": acceleration_loss(_live(joint_rots, ws[0])),
-        "acce_orients": acceleration_loss(_live(orients, ws[1])),
-        "acce_position": acceleration_loss(_live(positions, ws[2])),
-    }
-    # Recorded after the acceleration terms, so the backward sweep adds FK's
-    # share of the joint-rotation gradient first: the refined bytes depend on
-    # that order of summation.
-    rots = ad.reshape(joint_rots, ad.value_of(joint_rots).shape[:-1] + (NUM_ARTICULATED, 3))
-    joints = fk_joints(
-        skeleton, *(_live(x, ws[3]) for x in (shape_vec, orients, positions, rots))
-    )
-    terms["loss_2d"] = _reprojection(joints, obs, norm)
-    total = None
-    for name, weight in zip(TERMS, ws):
-        if weight != 0.0:
-            scaled = terms[name] * weight
-            total = scaled if total is None else total + scaled
-    if total is None:
-        # all weights zero: a constant +0.0 per batch row that still depends
-        # on the tape
-        total = ad.sum(orients * orients, axis=(-2, -1)) * 0.0
-    return terms, total
-
-
-def _floats(terms: dict) -> dict:
-    return {name: float(ad.value_of(value)) for name, value in terms.items()}
-
-
 def loss_components(
     traj: TrajectoryParams,
     obs: SequenceObservation,
@@ -312,20 +272,14 @@ def loss_components(
 ) -> dict:
     """All four unweighted components plus the weighted total, as floats.
 
-    Components are evaluated regardless of their weights, so reports stay
-    truthful when a term is disabled.
+    This is one tape-free call of the ``make_flat_objective`` closure, the
+    one evaluator of the terms, on ``traj.to_flat()``. Components are
+    evaluated regardless of their weights, so reports stay truthful when a
+    term is disabled.
     """
-    terms, total = _loss_terms(
-        traj.shape,
-        traj.orients,
-        traj.positions,
-        traj.joint_rotations.reshape(traj.num_frames, 45),
-        obs,
-        skeleton,
-        weights,
-        norm,
-    )
-    return _floats(dict(terms, total=total))
+    terms = {}
+    total = make_flat_objective(obs, skeleton, weights, norm, terms)(traj.to_flat())
+    return dict(terms, total=float(total))
 
 
 def reprojection_loss(
@@ -352,23 +306,48 @@ def make_flat_objective(
     terms_out: dict | None = None,
     optimize_shape: bool = True,
 ):
-    """Objective over the flat parameter vector, for the tape and the
-    finite-difference checker. The vector layout matches
+    """Objective over the flat parameter vector, and the one evaluator of
+    the four terms: the tape, the finite-difference checker and
+    ``loss_components`` all call its closure. The vector layout matches
     ``TrajectoryParams.to_flat``. A (P,) vector, Tensor or array, gives a
     scalar; a (B, P) block of plain vectors gives (B,) values, one per row.
     When ``terms_out`` is a dict, each scalar evaluation stores its four
-    unweighted terms there as floats; block evaluations leave it alone.
-    Without ``optimize_shape`` the shape block is read as a plain value: it
-    stays off the tape, and its gradient is exactly 0."""
+    unweighted terms there as floats; block evaluations leave it alone. A
+    zero-weight term is evaluated on plain values: it is still reported, but
+    stays off the tape and out of the total. Without ``optimize_shape`` the
+    shape block is read as a plain value: it stays off the tape, and its
+    gradient is exactly 0."""
     n = obs.num_frames
+    ws = (weights.acce_pose, weights.acce_orients, weights.acce_position, weights.reprojection)
 
     def objective(vec):
-        shape_vec, *frames = _split_flat(vec, n)
+        shape_vec, orients, positions, joint_rots = _split_flat(vec, n)
         if not optimize_shape:
             shape_vec = ad.value_of(shape_vec)
-        terms, total = _loss_terms(shape_vec, *frames, obs, skeleton, weights, norm)
+        terms = {
+            "acce_pose": acceleration_loss(_live(joint_rots, ws[0])),
+            "acce_orients": acceleration_loss(_live(orients, ws[1])),
+            "acce_position": acceleration_loss(_live(positions, ws[2])),
+        }
+        # Recorded after the acceleration terms, so the backward sweep adds
+        # FK's share of the joint-rotation gradient first: the refined bytes
+        # depend on that order of summation.
+        rots = ad.reshape(joint_rots, ad.value_of(joint_rots).shape[:-1] + (NUM_ARTICULATED, 3))
+        joints = fk_joints(
+            skeleton, *(_live(x, ws[3]) for x in (shape_vec, orients, positions, rots))
+        )
+        terms["loss_2d"] = _reprojection(joints, obs, norm)
+        total = None
+        for name, weight in zip(TERMS, ws):
+            if weight != 0.0:
+                scaled = terms[name] * weight
+                total = scaled if total is None else total + scaled
+        if total is None:
+            # all weights zero: a constant +0.0 per batch row that still
+            # depends on the tape
+            total = ad.sum(orients * orients, axis=(-2, -1)) * 0.0
         if terms_out is not None and ad.value_of(total).ndim == 0:
-            terms_out.update(_floats(terms))
+            terms_out.update((name, float(ad.value_of(v))) for name, v in terms.items())
         return total
 
     return objective

@@ -10,7 +10,7 @@ identical.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .objective import (
 )
 
 log = logging.getLogger(__name__)
-
-CSV_COLUMNS = ("iteration", "lr", "total", "acce_pose", "acce_orients", "acce_position", "loss_2d")
 
 
 @dataclass(frozen=True)
@@ -93,6 +91,9 @@ class LossEntry:
     acce_orients: float
     acce_position: float
     loss_2d: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(LossEntry))
 
 
 @dataclass

@@ -9,8 +9,8 @@ fourth fused op; its reference, ``fk_reference``, is in ``test_hand_model``.)
 The fused ops must reproduce these values bitwise and their gradients to
 within rounding.
 
-``autodiff.Tensor`` has operators for ``+``, ``*``, unary ``-`` and indexing
-only; subtraction, division and matrix products are called as the functions
+``autodiff.Tensor`` has operators for ``+``, ``*`` and indexing only;
+subtraction, division and matrix products are called as the functions
 :func:`sub`, :func:`div` and :func:`matmul`.
 """
 
@@ -150,7 +150,7 @@ def rodrigues_reference(aa):
     a_m = ad.reshape(a, lead + (1, 1))
     b_m = ad.reshape(b, lead + (1, 1))
     t2_m = ad.reshape(t2, lead + (1, 1))
-    return eye + a_m * k + b_m * sub(outer, t2_m * eye)
+    return ad.add(eye, a_m * k) + b_m * sub(outer, t2_m * eye)
 
 
 def acceleration_reference(series):

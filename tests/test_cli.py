@@ -1,11 +1,13 @@
 """End-to-end command line checks, run in process via cli.main()."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import handsmooth as hs
+from handsmooth import smoother
 from handsmooth.cli import main
 from handsmooth.formats import read_json
 from handsmooth.hand_model import default_model_dict
@@ -174,6 +176,65 @@ class TestSmooth:
         assert not (tmp_path / "o.json").exists()
         trace = read_json(report)
         assert len(trace["entries"]) >= 1
+
+
+class _Stop(Exception):
+    pass
+
+
+def smooth_config(argv, fixtures_dir, tmp_path, monkeypatch):
+    """The SmootherConfig that ``smooth IN OUT *argv`` hands to smooth()."""
+    seen = []
+
+    def spy(init, obs, skeleton, config):
+        seen.append(config)
+        raise _Stop
+
+    monkeypatch.setattr(smoother, "smooth", spy)
+    with pytest.raises(_Stop):
+        main(["smooth", str(fixtures_dir / "sequence_small.json"),
+              str(tmp_path / "o.json"), *argv])
+    return seen[0]
+
+
+# (flags, field of SmootherConfig or of its LossWeights, non-default value)
+CONFIG_FLAGS = [
+    (["--lr", "0.02"], "learning_rate", 0.02),
+    (["--lr-min", "0.005"], "lr_min", 0.005),
+    (["--iters", "7"], "max_iters", 7),
+    (["--lambda-pose", "0.25"], "acce_pose", 0.25),
+    (["--lambda-orients", "0.75"], "acce_orients", 0.75),
+    (["--lambda-position", "1.5"], "acce_position", 1.5),
+    (["--lambda-2d", "2.0"], "reprojection", 2.0),
+    (["--weight-decay", "0.1"], "weight_decay", 0.1),
+    (["--adam-beta1", "0.8"], "adam_beta1", 0.8),
+    (["--adam-beta2", "0.99"], "adam_beta2", 0.99),
+    (["--adam-eps", "1e-6"], "adam_eps", 1e-6),
+    (["--optimize-shape"], "optimize_shape", True),
+    (["--norm", "l1"], "reprojection_norm", "l1"),
+]
+
+
+class TestSmoothConfig:
+    def test_no_flags_builds_the_default_config(self, fixtures_dir, tmp_path, monkeypatch):
+        config = smooth_config([], fixtures_dir, tmp_path, monkeypatch)
+        assert config == hs.SmootherConfig()
+
+    @pytest.mark.parametrize(
+        "flags, name, value", CONFIG_FLAGS, ids=[flags[0] for flags, _, _ in CONFIG_FLAGS]
+    )
+    def test_each_flag_lands_in_its_field(
+        self, fixtures_dir, tmp_path, monkeypatch, flags, name, value
+    ):
+        default = hs.SmootherConfig()
+        if hasattr(default.weights, name):
+            expected = replace(default, weights=replace(default.weights, **{name: value}))
+        else:
+            expected = replace(default, **{name: value})
+        assert expected != default
+        config = smooth_config(flags, fixtures_dir, tmp_path, monkeypatch)
+        for field in vars(default):
+            assert getattr(config, field) == getattr(expected, field), field
 
 
 class TestEval:

@@ -10,13 +10,16 @@ records the gradients of one commit and a later change is checked against
 it, not regenerated to match.
 """
 
+import contextlib
+import io
 import pathlib
 import sys
+import tempfile
 
 import numpy as np
 
 import handsmooth as hs
-from handsmooth import formats
+from handsmooth import cli, formats
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -158,25 +161,20 @@ def main(out_dir=FIXTURES):
     formats.save_motion_spec(target("acceptance_motion.json"), acceptance_motion())
     formats.save_noise_spec(target("acceptance_noise.json"), acceptance_noise())
 
-    seq = small_sequence()
-    formats.save_sequence(target("sequence_small.json"), seq)
+    small = target("sequence_small.json")
+    formats.save_sequence(small, small_sequence())
 
-    refined, report = hs.smooth(
-        seq.init,
-        seq.observations,
-        seq.skeleton,
-        hs.SmootherConfig(max_iters=2),
-    )
-    report.initial_metrics, report.final_metrics = (
-        formats.record_to_dict(
-            hs.evaluate(traj, seq.ground_truth, seq.observations, seq.skeleton)
-        )
-        for traj in (seq.init, refined)
-    )
-    report.save(target("loss_report.json"))
-
-    metric = hs.evaluate(seq.init, seq.ground_truth, seq.observations, seq.skeleton)
-    formats.dump_json(formats.record_to_dict(metric), target("metric_report.json"))
+    # the two reports come from the commands that write them for a user; the
+    # refined sequence is not a fixture, and the commands' summaries are not
+    # printed
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        refined = pathlib.Path(tmp) / "refined.json"
+        for argv in (
+            ["smooth", small, refined, "--iters", "2", "--report", target("loss_report.json")],
+            ["eval", small, "--json", target("metric_report.json")],
+        ):
+            if cli.main([str(a) for a in argv]) != 0:
+                raise SystemExit(f"handsmooth {argv[0]} failed")
 
     for p in written:
         print(f"wrote {p} ({p.stat().st_size} bytes)")
