@@ -5,6 +5,7 @@ One sequence file carries everything a smoothing run needs: the skeleton
 the 2D observations, and optionally the ground-truth trajectory. Files are
 written deterministically (sorted keys, two-space indent, repr-precision
 floats, trailing newline), so identical content is byte identical on disk.
+Arrays are laid out as every other value is, as the nested lists they hold.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from itertools import islice
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -26,27 +26,59 @@ from .synth import MotionSpec, NoiseSpec
 
 SEQUENCE_SCHEMA_VERSION = "1"
 
-_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+# The text of each scalar of the arrays written one outer row at a time.
+_JSON_TEXT = {np.dtype(float): float.__repr__, np.dtype(bool): ("false", "true").__getitem__}
 
 
 def dump_json(obj, path) -> None:
     """Deterministic JSON writer used for every file this package emits.
 
-    The text is streamed to the file in batches of encoder chunks: joining
-    a whole sequence file in memory first held about four times its size at
-    once. An object JSON cannot hold (NaN, infinity, a non-JSON type) raises
-    as ``json.dumps`` does and removes the partly written file.
+    The file holds ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)`` and a newline, where an ``np.ndarray`` that is
+    ``obj`` or a value of its dicts stands for its ``tolist()``. It is
+    written piece by piece: a float or bool array one outer row at a time,
+    each row filled into a text template of its layout. An object JSON
+    cannot hold (NaN, infinity, a non-JSON type) raises as ``json.dumps``
+    does and removes the partly written file.
     """
-    chunks = _JSON_ENCODER.iterencode(obj)
     f = open(path, "w")
     try:
         with f:
-            while batch := "".join(islice(chunks, 16384)):
-                f.write(batch)
+            f.writelines(_chunks(obj, ""))
             f.write("\n")
     except Exception:
         Path(path).unlink(missing_ok=True)
         raise
+
+
+def _dumps(obj, pad: str) -> str:
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    return text.replace("\n", "\n" + pad)
+
+
+def _chunks(obj, pad: str):
+    """The text of ``obj`` at indent ``pad``, in pieces: a dict key by key,
+    a float or bool array row by row, and any other value whole."""
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray) and obj.dtype in _JSON_TEXT and obj.ndim and obj.size:
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        text = _JSON_TEXT[obj.dtype]
+        row = _dumps(np.zeros(obj.shape[1:], int).tolist(), inner).replace("0", "%s")
+        sep = "[\n" + inner
+        for r in obj:
+            yield sep + row % tuple(map(text, r.ravel().tolist()))
+            sep = ",\n" + inner
+        yield "\n" + pad + "]"
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            yield sep + json.dumps(key) + ": "
+            yield from _chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    else:
+        yield _dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj, pad)
 
 
 def read_json(path) -> dict:
@@ -160,10 +192,10 @@ def rig_from_dict(d: dict, where: str = "rig") -> cam.CameraRig:
 def trajectory_to_dict(traj: TrajectoryParams) -> dict:
     """A trajectory's file object; joint rotations are stored as (N, 45) rows."""
     return {
-        "shape": traj.shape.tolist(),
-        "orients": traj.orients.tolist(),
-        "positions": traj.positions.tolist(),
-        "joint_rotations": traj.joint_rotations.reshape(traj.num_frames, 45).tolist(),
+        "shape": traj.shape,
+        "orients": traj.orients,
+        "positions": traj.positions,
+        "joint_rotations": traj.joint_rotations.reshape(traj.num_frames, 45),
     }
 
 
@@ -220,8 +252,8 @@ class SequenceFile:
             "rig": rig_to_dict(self.rig),
             "init": trajectory_to_dict(self.init),
             "observations": {
-                "landmarks_2d": self.observations.landmarks_2d.tolist(),
-                "visibility": self.observations.visibility.tolist(),
+                "landmarks_2d": self.observations.landmarks_2d,
+                "visibility": self.observations.visibility,
             },
             "ground_truth": (
                 None if self.ground_truth is None else trajectory_to_dict(self.ground_truth)

@@ -15,7 +15,7 @@ from .hand_model import HandSkeleton
 from .objective import (
     SequenceObservation,
     TrajectoryParams,
-    reprojection_loss,
+    _reprojection,
     trajectory_joints,
 )
 
@@ -64,8 +64,13 @@ def reprojection_px(
     Unlike the optimization objective, an observation with nothing visible
     in front of any camera scores 0.0 here instead of raising.
     """
+    return _joints_reprojection_px(trajectory_joints(traj, skeleton), obs, norm)
+
+
+def _joints_reprojection_px(joints, obs: SequenceObservation, norm: str) -> float:
+    """``reprojection_px`` of world joints (N, 21, 3)."""
     try:
-        return reprojection_loss(traj, obs, skeleton, norm)
+        return float(_reprojection(joints, obs, norm))
     except DegenerateObservationError:
         return 0.0
 
@@ -113,7 +118,7 @@ def evaluate(
     return MetricReport(
         mpjpe_mm=mpjpe_mm,
         accel_error_mm=float(per_frame_accel.mean()),
-        reproj_px=reprojection_px(refined, obs, skeleton, norm),
+        reproj_px=_joints_reprojection_px(joints, obs, norm),
         per_frame_mpjpe_mm=per_frame_mpjpe,
         per_frame_accel_mm=per_frame_accel,
     )

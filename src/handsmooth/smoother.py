@@ -23,6 +23,7 @@ from .objective import (
     LossWeights,
     SequenceObservation,
     TrajectoryParams,
+    _split_flat,
     loss_components,
     make_flat_objective,
 )
@@ -186,7 +187,9 @@ def smooth(
 
     Returns (refined, report). The shape segment is returned exactly equal to
     the input unless config.optimize_shape. Raises DivergedError carrying the
-    partial report when the loss or gradient goes non-finite.
+    partial report when the loss or gradient goes non-finite; its message
+    names the iteration, the first non-finite term and the first parameter
+    block whose gradient is non-finite.
     """
     if initial.num_frames != obs.num_frames:
         raise ValueError("trajectory and observations disagree on frame count")
@@ -220,8 +223,13 @@ def smooth(
                 report=report,
             ) from e
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            term = next((k for k, v in terms.items() if not np.isfinite(v)), "none")
+            blocks = zip(fields(TrajectoryParams), _split_flat(grad, n))
+            block = next((f.name for f, g in blocks if not np.all(np.isfinite(g))), "none")
             raise DivergedError(
-                f"non-finite loss or gradient at iteration {it}", report=report
+                f"non-finite loss or gradient at iteration {it}: first non-finite "
+                f"term {term}, first non-finite gradient block {block}",
+                report=report,
             )
         snapshot(it, dict(terms, total=loss))
         if it % 100 == 0:

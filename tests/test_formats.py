@@ -82,6 +82,48 @@ class TestDumpJson:
         with pytest.raises(ValueError):
             dump_json({"x": float("nan")}, tmp_path / "bad.json")
 
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.linspace(-1.0, 1.0, 5) / 3.0,
+            np.arange(12.0).reshape(3, 4) / 7.0,
+            np.arange(24.0).reshape(2, 3, 4) / 7.0,
+            np.arange(24.0).reshape(2, 3, 2, 2) / 7.0,
+            np.array([[True, False, True], [False, False, True]]),
+            np.zeros((0,)),
+            np.zeros((2, 0)),
+            np.zeros((2, 0, 3)),
+            np.zeros((2, 0), dtype=bool),
+            np.array([-0.0, 5e-324, 1e16, 1e22, 0.1]),
+            (np.arange(12.0).reshape(3, 4) / 7.0).T,
+            (np.arange(30.0).reshape(5, 6) / 7.0)[::2, 1::3],
+            np.random.default_rng(0).standard_normal((240, 8, 21, 2)),
+            # neither float nor bool: written from its tolist()
+            np.arange(6).reshape(2, 3),
+            np.array(1.5),
+            np.float32([0.1, 2.5]),
+        ],
+        ids=lambda a: f"{a.dtype}{a.shape}",
+    )
+    def test_array_text_equals_dumps_of_tolist(self, tmp_path, array):
+        obj = {"b": {"array": array, "k": [1, None]}, "a": array, "x": 0.5}
+        plain = {"b": {"array": array.tolist(), "k": [1, None]}, "a": array.tolist(), "x": 0.5}
+        path = tmp_path / "out.json"
+        dump_json(obj, path)
+        expected = json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert path.read_text() == expected
+        dump_json(array, path)
+        assert path.read_text() == json.dumps(array.tolist(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_array_and_leaves_no_file(self, tmp_path, bad):
+        array = np.ones((50, 3, 2))
+        array[49, 2, 1] = bad
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            dump_json({"a": np.ones((100, 2)), "b": array}, path)
+        assert not path.exists()
+
     def test_read_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         for content in (
@@ -269,8 +311,11 @@ class TestSequenceSchemaErrors:
             ),
         ],
     )
-    def test_unconvertible_value(self, mutate, where):
-        d = make_sequence_file().to_dict()
+    def test_unconvertible_value(self, tmp_path, mutate, where):
+        # the file object as load_sequence parses it: nested lists, not arrays
+        path = tmp_path / "seq.json"
+        hs.save_sequence(path, make_sequence_file())
+        d = read_json(path)
         mutate(d)
         with pytest.raises(SchemaError, match="^" + re.escape(where) + ": "):
             sequence_from_dict(d)

@@ -184,6 +184,25 @@ class TestSmoothLoop:
         assert err.value.report is not None
         assert len(err.value.report.entries) >= 1
 
+    @pytest.mark.parametrize(
+        "weights, term, block",
+        [
+            (hs.LossWeights(), "acce_pose", "orients"),
+            # only the position term is live: its value overflows, its
+            # gradient does not
+            (hs.LossWeights(0.0, 0.0, 0.5, 0.0), "acce_position", "none"),
+        ],
+    )
+    def test_divergence_names_iteration_term_and_block(self, fixtures_dir, weights, term, block):
+        seq = hs.load_sequence(fixtures_dir / "sequence_small.json")
+        config = hs.SmootherConfig(learning_rate=1e200, max_iters=10, weights=weights)
+        with pytest.raises(DivergedError) as err:
+            hs.smooth(seq.init, seq.observations, seq.skeleton, config)
+        assert str(err.value) == (
+            "non-finite loss or gradient at iteration 1: first non-finite "
+            f"term {term}, first non-finite gradient block {block}"
+        )
+
     def test_non_improving_flag(self):
         # a huge step on a pure-acceleration objective makes things worse
         traj, obs, skeleton = hs.random_problem(4, 1, seed=12)
@@ -267,13 +286,11 @@ class TestLossReport:
         assert entries == report.entries
 
     def test_entries_are_plain_field_dicts(self):
-        entry = hs.LossEntry(
-            iteration=0,
-            lr=0.01,
-            total=1.0,
-            acce_pose=0.1,
-            acce_orients=0.2,
-            acce_position=0.3,
-            loss_2d=0.4,
-        )
-        assert set(dataclasses.asdict(entry)) == set(CSV_COLUMNS)
+        # exactly int and float, so the CSV's repr never writes np.float64(...)
+        traj, obs, skeleton = hs.random_problem(3, 1, seed=17)
+        _, report = hs.smooth(traj, obs, skeleton, hs.SmootherConfig(max_iters=2))
+        assert len(report.entries) == 3
+        for entry in report.entries:
+            values = dataclasses.asdict(entry)
+            assert type(values.pop("iteration")) is int
+            assert {type(v) for v in values.values()} == {float}
