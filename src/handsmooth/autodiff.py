@@ -24,9 +24,11 @@ that evaluates a whole composition with numpy on plain values and makes one
 each step. The pipeline has four: ``hand_model.rotation_matrices``
 (Rodrigues), the chain walk of ``hand_model.fk_joints`` (forward kinematics),
 ``objective.acceleration_loss`` (the second-difference terms) and
-``objective._reprojection`` (projection and masked residual over every
-view). Their ``ctx`` holds only forward intermediates; anything the VJP alone
-needs is computed in the VJP, so the tape-free route pays nothing for it.
+``objective._reprojection`` (all views projected by one product in
+``camera.project_views``, then the masked residual). Their ``ctx`` holds only
+forward intermediates, such as the camera-frame points the reprojection VJP
+reads instead of projecting again; anything the VJP alone needs is computed in
+the VJP, so the tape-free route pays nothing for it.
 
 ``vjp(g, node, i)`` returns the gradient of operand ``i`` given the gradient
 ``g`` of the node's value. Tape order is a valid topological order, so one

@@ -5,6 +5,7 @@ and extrinsic translation perturbation for robustness experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,15 @@ class CameraRig:
     def num_views(self) -> int:
         return len(self.views)
 
+    @cached_property
+    def _stacked(self):
+        """In view order: rotations (3V, 3), translations (3V, 1), fx, fy, cx, cy (V, 1)."""
+        intr, extr = zip(*self.views)
+        return (
+            ad.readonly(np.concatenate([e.rotation for e in extr])),
+            ad.readonly(np.concatenate([e.translation for e in extr])[:, None]),
+            *(ad.readonly([[getattr(i, k)] for i in intr]) for k in ("fx", "fy", "cx", "cy")),
+        )
 
 def project(point_world, view) -> np.ndarray:
     """Project one world point into pixel coordinates (u, v).
@@ -114,32 +124,44 @@ def project(point_world, view) -> np.ndarray:
     )
 
 
-def project_points_masked(points, view):
-    """Project a batch of world points, masking instead of raising.
+def project_views(points, rig: CameraRig):
+    """Project (..., 3) world points, Tensor or array, into every view of a
+    rig, masking instead of raising; nothing is recorded. Returns plain
+    (V, ...) planes, a row per view: the pixels u, v, the bool in_front, and
+    the camera frame's x, y, z_safe, whose placeholder 1 behind the camera
+    keeps the division finite (callers ignore those pixels via the mask).
 
-    Args:
-        points: (..., 3) world points. A Tensor is read by its value; nothing
-            is recorded.
-    Returns:
-        (u, v, in_front), plain arrays: u, v are the (...,) pixel coordinates
-        and in_front is a bool mask. Entries behind the camera use a
-        placeholder depth of 1 so the division stays finite; callers must
-        ignore those pixels via the mask.
-
-    The objective and the synthetic renderer both project through this
-    function, so exact observations reproduce bitwise under re-evaluation.
+    One matrix product maps the points into all views, each entry equal to
+    the view's own ``points @ rotation.T + translation``. The objective and
+    the synthetic renderer both project through this function, so exact
+    observations reproduce bitwise under re-evaluation.
     """
+    return _project(points, *rig._stacked)
+
+
+def project_points_masked(points, view):
+    """``project_views`` for one (Intrinsics, Extrinsics) view: (u, v,
+    in_front), plain (...,) arrays."""
     intr, extr = view
-    cam = ad.value_of(points) @ extr.rotation.T + extr.translation
-    x = cam[..., 0]
-    y = cam[..., 1]
-    z = cam[..., 2]
+    rotation, translation = extr.rotation, extr.translation[:, None]
+    planes = _project(points, rotation, translation, intr.fx, intr.fy, intr.cx, intr.cy)
+    return tuple(plane[0] for plane in planes[:3])
+
+
+def _project(points, rotations, translations, fx, fy, cx, cy):
+    p = ad.value_of(points)
+    cam = rotations @ p.reshape(-1, 3).T  # (3V, M): view v's frame in rows 3v to 3v + 2
+    cam += translations
+    x, y, z = cam.reshape(-1, 3, p.size // 3).swapaxes(0, 1)
     in_front = z > MIN_DEPTH
     m = in_front.astype(float)
-    z_safe = z * m + (1.0 - m)
-    u = x / z_safe * intr.fx + intr.cx
-    v = y / z_safe * intr.fy + intr.cy
-    return u, v, in_front
+    z *= m  # z_safe = z * m + (1 - m), in place
+    z += np.subtract(1.0, m, out=m)
+    u, v = x / z, y / z
+    for pixel, f, c in ((u, fx, cx), (v, fy, cy)):
+        pixel *= f
+        pixel += c
+    return tuple(a.reshape((-1,) + p.shape[:-1]) for a in (u, v, in_front, x, y, z))
 
 
 def perturb_extrinsics(

@@ -141,20 +141,20 @@ def rotation_matrices(aa):
     a = big * sin_c + small * (1.0 - t2 * (1.0 / 6.0))
     b = big * ver_c + small * (0.5 - t2 * (1.0 / 24.0))
 
-    zeros = np.zeros(x.shape)
-    k = np.stack(
-        [
-            np.stack([zeros, -z, y], axis=-1),
-            np.stack([z, zeros, -x], axis=-1),
-            np.stack([-y, x, zeros], axis=-1),
-        ],
-        axis=-2,
-    )
-    lead = w.shape[:-1]
-    outer = w.reshape(lead + (3, 1)) * w.reshape(lead + (1, 3))  # K^2 = outer - t2 I
-    eye = np.eye(3)
-    t2_m = t2.reshape(lead + (1, 1))
-    value = eye + a.reshape(lead + (1, 1)) * k + b.reshape(lead + (1, 1)) * (outer - t2_m * eye)
+    # R = (I + a K) + b (w w^T - t2 I) entry by entry, rounded as that sum is:
+    # a K's zeros vanish against I's ones, and I's 0.0 + a K turns -0.0 into +0.0
+    value = np.empty(w.shape + (3,))
+    ax, ay, az = a * x, a * y, a * z
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    value[..., 0, 0] = 1.0 + b * (x * x - t2)
+    value[..., 1, 1] = 1.0 + b * (y * y - t2)
+    value[..., 2, 2] = 1.0 + b * (z * z - t2)
+    value[..., 0, 1] = (0.0 - az) + bxy
+    value[..., 1, 0] = (0.0 + az) + bxy
+    value[..., 0, 2] = (0.0 + ay) + bxz
+    value[..., 2, 0] = (0.0 - ay) + bxz
+    value[..., 1, 2] = (0.0 - ax) + byz
+    value[..., 2, 1] = (0.0 + ax) + byz
     return ad._record(value, _rodrigues_vjp, (aa,), (t2, a, b))
 
 
@@ -175,15 +175,18 @@ def _rodrigues_vjp(g, node, i):
         -1.0 / 24.0 + t2 * (1.0 / 360.0 - t2 * (1.0 / 13440.0)),
         (a - 2.0 * b) / (2.0 * t2_safe),
     )
+    x, y, z = w[..., 0], w[..., 1], w[..., 2]
     # <g, K> = <w, s> for the axial vector s of g - g^T
-    s = np.stack(
-        [g[..., 2, 1] - g[..., 1, 2], g[..., 0, 2] - g[..., 2, 0], g[..., 1, 0] - g[..., 0, 1]],
-        axis=-1,
-    )
+    s = np.empty(w.shape)
+    s[..., 0] = g[..., 2, 1] - g[..., 1, 2]
+    s[..., 1] = g[..., 0, 2] - g[..., 2, 0]
+    s[..., 2] = g[..., 1, 0] - g[..., 0, 1]
     sym_w = ((g + np.swapaxes(g, -1, -2)) @ w[..., None])[..., 0]  # (g + g^T) w
-    trace = np.trace(g, axis1=-2, axis2=-1)
-    g_a = np.sum(w * s, axis=-1)
-    g_b = 0.5 * np.sum(w * sym_w, axis=-1) - t2 * trace  # <g, outer - t2 I>
+    # the sums as numpy's sum runs them: from +0.0, in index order
+    trace = ((0.0 + g[..., 0, 0]) + g[..., 1, 1]) + g[..., 2, 2]
+    g_a = ((0.0 + x * s[..., 0]) + y * s[..., 1]) + z * s[..., 2]
+    w_sym_w = ((0.0 + x * sym_w[..., 0]) + y * sym_w[..., 1]) + z * sym_w[..., 2]
+    g_b = 0.5 * w_sym_w - t2 * trace  # <g, outer - t2 I>
     g_t2 = g_a * da + g_b * db - b * trace
     return a[..., None] * s + b[..., None] * sym_w + (2.0 * g_t2)[..., None] * w
 

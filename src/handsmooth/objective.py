@@ -13,6 +13,7 @@ objective maps a (P,) vector to a scalar and a (B, P) block of vectors to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,6 +154,13 @@ class SequenceObservation:
     def num_views(self) -> int:
         return self.landmarks_2d.shape[1]
 
+    @cached_property
+    def _planes(self):
+        """Landmark u, landmark v and visibility as (V, 1, N * 21) planes."""
+        lm_u, lm_v = np.moveaxis(self.landmarks_2d, (3, 1), (0, 1))
+        return tuple(ad.readonly(a.reshape(self.num_views, 1, -1), dtype=a.dtype)
+                     for a in (lm_u, lm_v, np.swapaxes(self.visibility, 0, 1)))
+
 
 def acceleration_loss(series):
     """Mean smoothed-|.| of discrete second differences along the time axis.
@@ -203,59 +211,66 @@ def _reprojection(joints, obs: SequenceObservation, norm: str):
 
     A landmark counts only when it is visible and strictly in front of the
     camera. Raises DegenerateObservationError when none counts in some batch
-    row. Each view is projected by ``camera.project_points_masked`` on plain
-    values, and the whole term records one tape node, whose VJP is
-    ``_reprojection_vjp``.
+    row. ``camera.project_views`` projects all views at once on plain values,
+    and the residuals are computed on its (V, B, N * 21) planes; each view is
+    summed over its own rows, and the views are added in view order. The
+    whole term records one tape node, whose VJP is ``_reprojection_vjp``.
     """
     if norm not in REPROJECTION_NORMS:
         raise ValueError(f"norm must be one of {REPROJECTION_NORMS}")
     points = ad.value_of(joints)
+    planes = (obs.num_views, -1, points.shape[-3] * points.shape[-2])
+    u, v, in_front, *frame = (a.reshape(planes) for a in cam.project_views(points, obs.rig))
+    landmarks_u, landmarks_v, visibility = obs._planes
+    mask = (visibility & in_front).astype(float)
+    du = np.subtract(u, landmarks_u, out=u)
+    dv = np.subtract(v, landmarks_v, out=v)
+    # d dist / d du = du / ru, and likewise for v
+    if norm == "l2":
+        ru = rv = np.sqrt(du * du + dv * dv + DELTA * DELTA)
+        dist = ru - DELTA
+    elif norm == "l2_squared":
+        ru = rv = 0.5
+        dist = du * du + dv * dv
+    else:
+        ru, rv = np.sqrt(du * du + DELTA * DELTA), np.sqrt(dv * dv + DELTA * DELTA)
+        dist = (ru - DELTA) + (rv - DELTA)
+    dist *= mask
     count = 0.0  # per batch row
     total = None
-    residuals = []
-    for vi, view in enumerate(obs.rig.views):
-        u, v, in_front = cam.project_points_masked(points, view)
-        mask = (obs.visibility[:, vi] & in_front).astype(float)
-        du = u - obs.landmarks_2d[:, vi, :, 0]
-        dv = v - obs.landmarks_2d[:, vi, :, 1]
-        # d dist / d du = du / ru, and likewise for v
-        if norm == "l2":
-            ru = rv = np.sqrt(du * du + dv * dv + DELTA * DELTA)
-            dist = ru - DELTA
-        elif norm == "l2_squared":
-            ru = rv = 0.5
-            dist = du * du + dv * dv
-        else:
-            ru, rv = np.sqrt(du * du + DELTA * DELTA), np.sqrt(dv * dv + DELTA * DELTA)
-            dist = (ru - DELTA) + (rv - DELTA)
-        count = count + mask.sum(axis=(-2, -1))
-        s = (dist * mask).sum(axis=(-2, -1))
+    for c, s in zip(mask.sum(axis=-1), dist.sum(axis=-1)):
+        count = count + c
         total = s if total is None else total + s
-        residuals.append((du, dv, ru, rv, mask))
     if np.any(count == 0.0):
-        raise DegenerateObservationError(
-            "no landmark is visible and in front of a camera"
-        )
-    return ad._record(total / count, _reprojection_vjp, (joints,), (obs, count, residuals))
+        raise DegenerateObservationError("no landmark is visible and in front of a camera")
+    value = (total / count).reshape(points.shape[:-3])[()]  # a numpy scalar when unbatched
+    ctx = (obs, count, (du, dv, ru, rv, mask), frame)
+    return ad._record(value, _reprojection_vjp, (joints,), ctx)
 
 
 def _reprojection_vjp(g, node, i):
     """Through each view's residual norm, then the pinhole map on the
-    landmarks that count, then the world-to-camera rotation."""
-    obs, count, residuals = node.ctx
-    points = node.inputs[0].value
-    scale = (g / count)[..., None, None]
-    out = np.zeros(points.shape)
-    for (intr, extr), (du, dv, ru, rv, mask) in zip(obs.rig.views, residuals):
-        w = scale * mask
-        gu, gv = w * du / ru, w * dv / rv
-        p = points @ extr.rotation.T + extr.translation
-        z = np.where(mask > 0.0, p[..., 2], 1.0)  # gu = gv = 0 where masked
-        gx = gu * intr.fx / z
-        gy = gv * intr.fy / z
-        gz = -(gx * p[..., 0] + gy * p[..., 1]) / z
-        out += np.stack([gx, gy, gz], axis=-1) @ extr.rotation
-    return out
+    landmarks that count, with the camera-frame points of the forward, then
+    each view's world-to-camera rotation."""
+    obs, count, (du, dv, ru, rv, mask), (x, y, z) = node.ctx
+    rotations, _, fx, fy, _, _ = obs.rig._stacked
+    w = (np.reshape(g, count.shape) / count)[:, None] * mask
+    # (V, 3, B, N * 21) planes: the gradient of each view's camera-frame
+    # points; z is 1 behind the camera, where the mask zeroes gu and gv
+    g_cam = np.empty((len(mask), 3) + mask.shape[1:])
+    gx, gy, gz = g_cam.swapaxes(0, 1)
+    for gk, d, r, f in ((gx, du, ru, fx), (gy, dv, rv, fy)):
+        np.multiply(w, d, out=gk)  # gu = w d / r, then gx = gu f / z
+        gk /= r
+        gk *= f[:, :, None]
+        gk /= z
+    np.multiply(gx, x, out=gz)
+    gz += np.multiply(gy, y, out=w)
+    np.divide(np.negative(gz, out=gz), z, out=gz)  # gz = -(gx x + gy y) / z
+    out = np.zeros((mask[0].size, 3))
+    for view, g_view in enumerate(g_cam.reshape(len(mask), 3, -1)):  # in view order
+        out += g_view.T @ rotations[3 * view:3 * view + 3]
+    return out.reshape(node.inputs[0].value.shape)
 
 
 def _live(x, weight):

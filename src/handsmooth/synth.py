@@ -219,9 +219,8 @@ def build_rig(spec: RigSpec, wrist_positions: np.ndarray) -> cam.CameraRig:
 
 
 def _check_wrist_visible(rig: cam.CameraRig, wrist_positions: np.ndarray):
-    for vi, view in enumerate(rig.views):
-        intr = view[0]
-        u, v, in_front = cam.project_points_masked(wrist_positions, view)
+    planes = zip(*cam.project_views(wrist_positions, rig)[:3])
+    for vi, ((intr, _), (u, v, in_front)) in enumerate(zip(rig.views, planes)):
         ok = (
             in_front.all()
             and np.all((u >= 0) & (u <= intr.width))
@@ -297,8 +296,7 @@ def render_observations(
     n = gt.num_frames
     landmarks = np.zeros((n, rig.num_views, 21, 2))
     visibility = np.zeros((n, rig.num_views, 21), dtype=bool)
-    for vi, view in enumerate(rig.views):
-        u, v, in_front = cam.project_points_masked(joints, view)
+    for vi, (u, v, in_front) in enumerate(zip(*cam.project_views(joints, rig)[:3])):
         pix = rng.standard_normal((n, 21, 2))
         landmarks[:, vi, :, 0] = u + noise.sigma_pixel * pix[:, :, 0]
         landmarks[:, vi, :, 1] = v + noise.sigma_pixel * pix[:, :, 1]
@@ -410,8 +408,7 @@ def random_problem(num_frames: int, num_views: int, seed: int):
         landmarks = np.zeros((num_frames, num_views, 21, 2))
         visibility = np.zeros((num_frames, num_views, 21), dtype=bool)
         residual = np.inf
-        for vi, view in enumerate(rig.views):
-            u, v, in_front = cam.project_points_masked(joints, view)
+        for vi, (u, v, in_front) in enumerate(zip(*cam.project_views(joints, rig)[:3])):
             landmarks[:, vi, :, 0] = u + rng.normal(0.0, 20.0, (num_frames, 21))
             landmarks[:, vi, :, 1] = v + rng.normal(0.0, 20.0, (num_frames, 21))
             visibility[:, vi] = in_front & (rng.random((num_frames, 21)) < 0.9)

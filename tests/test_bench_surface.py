@@ -7,6 +7,7 @@ package that would break the benchmark fails here first.
 import ast
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,3 +86,19 @@ def test_tape_nodes_are_the_tensors_recorded():
     out = ad.sum(leaf * 2.0)
     assert len(tape.nodes) == 3 and tape.nodes[0] is leaf and tape.nodes[-1] is out
     assert sum(t.value.nbytes for t in tape.nodes) == 8 * (3 + 3 + 1)
+
+
+def test_layer_probes_run(tmp_path):
+    # the probe counts are not pinned: only that every probe runs and reads
+    # a finite number on a small problem
+    layers = load_bench_module("layers")
+    traj, obs, skeleton = hs.random_problem(5, 2, 0)
+    seq_path = tmp_path / "problem.json"
+    hs.save_sequence(seq_path, hs.SequenceFile.for_model(hs.DEFAULT_MODEL, skeleton, traj, obs))
+    problem = SimpleNamespace(traj=traj, obs=obs, skeleton=skeleton, truth=None,
+                              seq_path=seq_path, size=(5, 2, 0))
+    values = layers.probe_layers(hs, problem, 1e-3)
+    values.update(layers.probe_check_gradient(hs, traj, obs, skeleton))
+    assert "camera.project_ms" in values and "autodiff.fd_evals" in values
+    for name, value in values.items():
+        assert np.isfinite(value), name

@@ -127,6 +127,32 @@ class TestMaskedProjection:
         assert in_front.tolist() == [True, False, False]
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
 
+    @pytest.mark.parametrize("lead", [(6, 21), (3, 5, 21), (4,), ()])
+    def test_all_views_equal_each_view_bit_for_bit(self, lead):
+        rng = np.random.default_rng(3)
+        rig = hs.CameraRig(views=tuple(random_view(rng) for _ in range(4)))
+        points = rng.normal(0.0, 0.4, lead + (3,))
+        u, v, in_front, x, y, z_safe = hs.camera.project_views(points, rig)
+        assert u.shape == v.shape == in_front.shape == z_safe.shape == (4,) + lead
+        assert 0 < in_front.sum() < in_front.size or not lead
+        for vi, view in enumerate(rig.views):
+            one = hs.project_points_masked(points, view)
+            for plane, own in zip((u, v, in_front), one):
+                assert plane[vi].tobytes() == own.tobytes()
+            assert np.all(z_safe[vi][~in_front[vi]] == 1.0)
+
+    def test_tensor_input_is_read_and_not_recorded(self):
+        rng = np.random.default_rng(4)
+        view = random_view(rng)
+        points = rng.normal(0.0, 0.4, (2, 21, 3))
+        tape = ad.Tape()
+        leaf = ad.Tensor(points, tape)
+        out = hs.project_points_masked(leaf, view)
+        assert len(tape.nodes) == 1
+        for got, want in zip(out, hs.project_points_masked(points, view)):
+            assert type(got) is np.ndarray
+            assert got.tobytes() == want.tobytes()
+
     def test_gradient_flows_only_through_visible(self):
         # the objective's fused reprojection consumes the projection through
         # its mask: every landmark is visible, and the one joint behind the
