@@ -101,6 +101,7 @@ class CameraRig:
             *(ad.readonly([[getattr(i, k)] for i in intr]) for k in ("fx", "fy", "cx", "cy")),
         )
 
+
 def project(point_world, view) -> np.ndarray:
     """Project one world point into pixel coordinates (u, v).
 
@@ -136,19 +137,7 @@ def project_views(points, rig: CameraRig):
     the synthetic renderer both project through this function, so exact
     observations reproduce bitwise under re-evaluation.
     """
-    return _project(points, *rig._stacked)
-
-
-def project_points_masked(points, view):
-    """``project_views`` for one (Intrinsics, Extrinsics) view: (u, v,
-    in_front), plain (...,) arrays."""
-    intr, extr = view
-    rotation, translation = extr.rotation, extr.translation[:, None]
-    planes = _project(points, rotation, translation, intr.fx, intr.fy, intr.cx, intr.cy)
-    return tuple(plane[0] for plane in planes[:3])
-
-
-def _project(points, rotations, translations, fx, fy, cx, cy):
+    rotations, translations, fx, fy, cx, cy = rig._stacked
     p = ad.value_of(points)
     cam = rotations @ p.reshape(-1, 3).T  # (3V, M): view v's frame in rows 3v to 3v + 2
     cam += translations
@@ -162,6 +151,12 @@ def _project(points, rotations, translations, fx, fy, cx, cy):
         pixel *= f
         pixel += c
     return tuple(a.reshape((-1,) + p.shape[:-1]) for a in (u, v, in_front, x, y, z))
+
+
+def project_points_masked(points, view):
+    """``project_views`` for one (Intrinsics, Extrinsics) view: (u, v,
+    in_front), plain (...,) arrays."""
+    return tuple(plane[0] for plane in project_views(points, CameraRig(views=(view,)))[:3])
 
 
 def perturb_extrinsics(

@@ -253,7 +253,8 @@ def _reprojection_vjp(g, node, i):
     landmarks that count, with the camera-frame points of the forward, then
     each view's world-to-camera rotation."""
     obs, count, (du, dv, ru, rv, mask), (x, y, z) = node.ctx
-    rotations, _, fx, fy, _, _ = obs.rig._stacked
+    views = obs.rig.views
+    fx, fy = (np.array([[[getattr(intr, k)]] for intr, _ in views]) for k in ("fx", "fy"))
     w = (np.reshape(g, count.shape) / count)[:, None] * mask
     # (V, 3, B, N * 21) planes: the gradient of each view's camera-frame
     # points; z is 1 behind the camera, where the mask zeroes gu and gv
@@ -262,14 +263,14 @@ def _reprojection_vjp(g, node, i):
     for gk, d, r, f in ((gx, du, ru, fx), (gy, dv, rv, fy)):
         np.multiply(w, d, out=gk)  # gu = w d / r, then gx = gu f / z
         gk /= r
-        gk *= f[:, :, None]
+        gk *= f
         gk /= z
     np.multiply(gx, x, out=gz)
     gz += np.multiply(gy, y, out=w)
     np.divide(np.negative(gz, out=gz), z, out=gz)  # gz = -(gx x + gy y) / z
     out = np.zeros((mask[0].size, 3))
-    for view, g_view in enumerate(g_cam.reshape(len(mask), 3, -1)):  # in view order
-        out += g_view.T @ rotations[3 * view:3 * view + 3]
+    for (_, extr), g_view in zip(views, g_cam.reshape(len(mask), 3, -1)):  # in view order
+        out += g_view.T @ extr.rotation
     return out.reshape(node.inputs[0].value.shape)
 
 

@@ -257,6 +257,18 @@ class TestReprojectionBitwise:
         weights = np.arange(1.0, 4.0) if batched else 1.0
         assert_reprojection_bitwise(joints, obs, norm, weights)
 
+    @pytest.mark.parametrize("views", [1, 8])
+    @pytest.mark.parametrize("norm", REPROJECTION_NORMS)
+    def test_each_view_with_its_own_intrinsics(self, views, norm):
+        _, _, joints, obs = problem(5, 2, True, views)
+        # fx != fy, and no two views share a focal length or principal point
+        rig = hs.CameraRig(views=tuple(
+            (replace(intr, fx=intr.fx + 10.0 * v, fy=1.25 * intr.fy - 3.0 * v,
+                     cx=intr.cx - v, cy=intr.cy + 2.0 * v), extr)
+            for v, (intr, extr) in enumerate(obs.rig.views)
+        ))
+        assert_reprojection_bitwise(joints, replace(obs, rig=rig), norm, np.arange(1.0, 4.0))
+
     @pytest.mark.parametrize("views", [2, 8])
     @pytest.mark.parametrize("norm", REPROJECTION_NORMS)
     def test_view_with_every_landmark_behind(self, views, norm):

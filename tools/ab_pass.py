@@ -1,7 +1,7 @@
 """Interleaved A/B timing of one objective pass: a parent checkout against
 this one.
 
-    python3 tools/ab_pass.py PARENT_CHECKOUT [--rounds 15] [--reps 5] [--seed 3]
+    python3 tools/ab_pass.py PARENT_CHECKOUT
 
 PARENT_CHECKOUT is any directory holding the parent's ``src/handsmooth``, for
 example one made with ``git worktree add``. Its package is copied into a
@@ -10,19 +10,19 @@ this checkout's ``handsmooth``, so both run in one process on one machine
 state. Each package builds its own inputs from the same seeds:
 
 * ``accept``: one frozen-shape ``record_and_backprop`` pass (value and
-  gradient, as ``smooth`` runs it) on the accept-60f2v input of the benchmark;
+  gradient, as ``smooth`` runs it) on the seed-3 accept-60f2v input of the
+  benchmark;
 * ``wide``: the same on the wide-240f8v input;
 * ``gradcheck``: one ``check_gradient`` on ``random_problem(5, 2, s)``, with
   s the round number.
 
-Each round times A, B, B, A (A is the parent), each the median of ``--reps``
+Each of 15 rounds times A, B, B, A (A is the parent), each the median of 5
 calls, and takes the ratio parent / child of the two sums, so a ratio above
 1 means the child is faster. Drift of the machine's speed within a round
 cancels. The tool prints the median, min and max of the per-round ratios and
 writes nothing.
 """
 
-import argparse
 import gc
 import importlib
 import importlib.util
@@ -36,6 +36,8 @@ import time
 import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+ROUNDS, REPS = 15, 5
+SEED = 3  # of the refine inputs
 
 
 def load_workloads():
@@ -86,37 +88,32 @@ def import_parent(checkout, tmp):
     return importlib.import_module("handsmooth_parent")
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="checkout whose src/handsmooth is the A side")
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=3, help="seed of the refine inputs")
-    args = parser.parse_args(argv)
+def main(parent_checkout):
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "src"))
     import handsmooth as child
 
     workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
-        parent = import_parent(args.parent, tmp)
+        parent = import_parent(parent_checkout, tmp)
         calls = {
-            name.split("-")[0]: [refine_pass(hs, workloads, name, args.seed) for hs in (parent, child)]
+            name.split("-")[0]: [refine_pass(hs, workloads, name, SEED) for hs in (parent, child)]
             for name in ("accept-60f2v", "wide-240f8v")
         }
         ratios = {name: [] for name in ("accept", "wide", "gradcheck")}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             calls["gradcheck"] = [gradcheck_pass(hs, r) for hs in (parent, child)]
             for name, (a, b) in calls.items():
-                ta = median_time(a, args.reps)
-                tb = median_time(b, args.reps) + median_time(b, args.reps)
-                ta += median_time(a, args.reps)
+                ta = median_time(a, REPS)
+                tb = median_time(b, REPS) + median_time(b, REPS)
+                ta += median_time(a, REPS)
                 ratios[name].append(ta / tb)
-    print(f"parent / child time per pass, {args.rounds} ABBA rounds of {args.reps} reps")
+    print(f"parent / child time per pass, {ROUNDS} ABBA rounds of {REPS} reps")
     for name, rs in ratios.items():
         print(f"{name:10s} median {statistics.median(rs):.3f}  min {min(rs):.3f}  max {max(rs):.3f}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])
