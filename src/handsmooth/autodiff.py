@@ -1,10 +1,9 @@
 """Reverse-mode automatic differentiation on an explicit recording tape.
 
-Values are float64 numpy arrays (scalars are 0-d arrays). Each of the seven
-primitives (:func:`add`, :func:`mul`, :func:`exp`, :func:`reshape`,
-:func:`sum`, :func:`getitem`, :func:`concat`) is defined once, as a module
-function. It computes its value with numpy on the plain values of its
-operands and passes that value to ``_record``:
+Values are float64 numpy arrays (scalars are 0-d arrays). Each of the four
+primitives (:func:`add`, :func:`mul`, :func:`reshape`, :func:`getitem`) is
+defined once, as a module function. It computes its value with numpy on the
+plain values of its operands and passes that value to ``_record``:
 
 * when no operand is a :class:`Tensor`, ``_record`` returns the plain value,
   so numerical code written against these functions runs tape-free at numpy
@@ -22,23 +21,27 @@ A fused op is the same pattern one level up: a function in another module
 that evaluates a whole composition with numpy on plain values and makes one
 ``_record`` call with a hand-written module-level VJP, instead of recording
 each step. The pipeline has four: ``hand_model.rotation_matrices``
-(Rodrigues), the chain walk of ``hand_model.fk_joints`` (forward kinematics),
-``objective.acceleration_loss`` (the second-difference terms) and
-``objective._reprojection`` (all views projected by one product in
-``camera.project_views``, then the masked residual). Their ``ctx`` holds only
-forward intermediates, such as the camera-frame points the reprojection VJP
-reads instead of projecting again; anything the VJP alone needs is computed in
-the VJP, so the tape-free route pays nothing for it.
+(Rodrigues), ``hand_model.fk_joints`` (bone scales, Rodrigues and the chain
+walk of forward kinematics, one node), ``objective._acceleration`` (the
+weighted second-difference terms, one node for all three; on one series it
+is ``objective.acceleration_loss``) and ``objective._reprojection`` (all
+views projected by one product in ``camera.project_views``, then the masked
+residual). Their ``ctx`` holds only forward intermediates, such as the
+camera-frame points the reprojection VJP reads instead of projecting again;
+anything the VJP alone needs is computed in the VJP, so the tape-free route
+pays nothing for it.
 
-``vjp(g, node, i)`` returns the gradient of operand ``i`` given the gradient
-``g`` of the node's value. Tape order is a valid topological order, so one
+``vjp(g, node)`` returns one gradient per operand, in operand order, given
+the gradient ``g`` of the node's value, or ``None`` for an operand that is
+not a Tensor (a fused op also returns ``None`` for a Tensor operand its
+value does not depend on). Tape order is a valid topological order, so one
 reverse sweep yields exact gradients of a scalar output with respect to the
-leaf parameter vector. It has one rule for every node: call the VJP for each
-Tensor operand, sum away broadcast axes, and add the result to the operand's
-gradient, never in place. Each node points back at its tape, so
-:func:`record_and_backprop` empties the tape when the sweep ends (or the
-objective raises): its nodes are then freed by reference counting, without
-waiting for the cyclic garbage collector.
+leaf parameter vector. It has one rule for every node: call its VJP once,
+sum away broadcast axes, and add each operand's gradient, in operand order,
+to that operand's gradient, never in place. Each node points back at its
+tape, so :func:`record_and_backprop` empties the tape when the sweep ends (or
+the objective raises): its nodes are then freed by reference counting,
+without waiting for the cyclic garbage collector.
 
 Indexing takes basic numpy indices only (ints, slices, ``Ellipsis``,
 ``None``), which select each element at most once, so the :func:`getitem` VJP
@@ -47,7 +50,6 @@ assigns ``g`` into a zero array; :func:`getitem` raises on any array index.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable, Tuple
 
 import numpy as np
@@ -158,42 +160,26 @@ def add(a, b):
     return _record(value_of(a) + value_of(b), _add_vjp, (a, b))
 
 
-def _add_vjp(g, node, i):
-    return g
+def _add_vjp(g, node):
+    return [g if isinstance(x, Tensor) else None for x in node.inputs]
 
 
 def mul(a, b):
     return _record(value_of(a) * value_of(b), _mul_vjp, (a, b))
 
 
-def _mul_vjp(g, node, i):
-    return g * value_of(node.inputs[1 - i])
-
-
-def exp(x):
-    return _record(np.exp(value_of(x)), _exp_vjp, (x,))
-
-
-def _exp_vjp(g, node, i):
-    return g * node.value
+def _mul_vjp(g, node):
+    a, b = node.inputs
+    return (g * value_of(b) if isinstance(a, Tensor) else None,
+            g * value_of(a) if isinstance(b, Tensor) else None)
 
 
 def reshape(x, shape):
     return _record(np.reshape(value_of(x), shape), _reshape_vjp, (x,))
 
 
-def _reshape_vjp(g, node, i):
-    return g.reshape(node.inputs[0].value.shape)
-
-
-def sum(x, axis=None):  # noqa: A001 - numpy-style name
-    return _record(value_of(x).sum(axis=axis), _sum_vjp, (x,), axis)
-
-
-def _sum_vjp(g, node, i):
-    if node.ctx is not None:
-        g = np.expand_dims(g, node.ctx)
-    return np.broadcast_to(g, node.inputs[0].value.shape)
+def _reshape_vjp(g, node):
+    return (g.reshape(node.inputs[0].value.shape),)
 
 
 def getitem(x, idx):
@@ -203,26 +189,11 @@ def getitem(x, idx):
     return _record(value_of(x)[idx], _getitem_vjp, (x,), idx)
 
 
-def _getitem_vjp(g, node, i):
+def _getitem_vjp(g, node):
     # a basic index selects each element at most once
     out = np.zeros(node.inputs[0].value.shape)
     out[node.ctx] = g
-    return out
-
-
-def concat(parts, axis=0):
-    vals = [value_of(p) for p in parts]
-    value = np.concatenate(vals, axis=axis)
-    ax = axis % value.ndim
-    ends = accumulate(v.shape[ax] for v in vals)
-    keys = [slice(end - v.shape[ax], end) for end, v in zip(ends, vals)]
-    return _record(value, _concat_vjp, tuple(parts), (ax, keys))
-
-
-def _concat_vjp(g, node, i):
-    """ctx is (axis, the slice of each part along that axis of the output)."""
-    ax, keys = node.ctx
-    return g[(slice(None),) * ax + (keys[i],)]
+    return (out,)
 
 
 # ----- entry points -----
@@ -251,16 +222,15 @@ def record_and_backprop(
         out = objective(leaf)
         if not isinstance(out, Tensor):
             raise TypeError(f"objective must return a tape value, got {type(out)!r}")
-        if out.value.size != 1:
+        if out.value.ndim != 0:
             raise ValueError("objective must be scalar-valued")
         out.grad = np.ones_like(out.value)
         for node in reversed(tape.nodes):
-            g = node.grad
-            if g is None:
+            if node.grad is None or not node.inputs:
                 continue
-            for i, x in enumerate(node.inputs):
-                if isinstance(x, Tensor):
-                    gx = _unbroadcast(node.vjp(g, node, i), x.value.shape)
+            for x, gx in zip(node.inputs, node.vjp(node.grad, node)):
+                if gx is not None:
+                    gx = _unbroadcast(gx, x.value.shape)
                     x.grad = gx if x.grad is None else x.grad + gx
     finally:
         tape.nodes.clear()

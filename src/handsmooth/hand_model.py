@@ -126,7 +126,16 @@ def rotation_matrices(aa):
     below 1e-2 rad (``SERIES_DERIVATIVE_SQ``) it takes them from their series
     to the t^4 term instead, so gradients stay accurate down to zero.
     """
-    w = ad.value_of(aa)
+    value, ctx = _rodrigues(ad.value_of(aa))
+    return ad._record(value, _rodrigues_vjp, (aa,), ctx)
+
+
+def _rodrigues_vjp(g, node):
+    return (_rodrigues_grad(g, node.inputs[0].value, *node.ctx),)
+
+
+def _rodrigues(w):
+    """R of plain axis-angles w (..., 3), and the (t2, a, b) its gradient reads."""
     x = w[..., 0]
     y = w[..., 1]
     z = w[..., 2]
@@ -155,12 +164,11 @@ def rotation_matrices(aa):
     value[..., 2, 0] = (0.0 - ay) + bxz
     value[..., 1, 2] = (0.0 - ax) + byz
     value[..., 2, 1] = (0.0 + ax) + byz
-    return ad._record(value, _rodrigues_vjp, (aa,), (t2, a, b))
+    return value, (t2, a, b)
 
 
-def _rodrigues_vjp(g, node, i):
-    t2, a, b = node.ctx
-    w = node.inputs[0].value
+def _rodrigues_grad(g, w, t2, a, b):
+    """The gradient of the axis-angles w given the gradient g of their R."""
     # da/dt2 and db/dt2: series below the switch, closed forms above it
     # (cos t = 1 - t2 b)
     series = t2 < SERIES_DERIVATIVE_SQ
@@ -193,34 +201,33 @@ def _rodrigues_vjp(g, node, i):
 
 def bone_scales(skeleton: HandSkeleton, beta):
     """Per-joint offset scale factors exp(shape_basis @ beta), shape (..., 21)
-    for beta (..., 10); generic over tapes."""
-    lead = ad.value_of(beta).shape[:-1]
-    if lead:  # a batch of shape vectors broadcasts against the (21, 10) basis
-        beta = ad.reshape(beta, lead + (1, NUM_SHAPE_PARAMS))
-    return ad.exp(ad.sum(skeleton.shape_basis * beta, axis=-1))
+    for beta (..., 10), Tensor or array. The result is a plain array and
+    records nothing: ``fk_joints`` differentiates through it."""
+    beta = ad.value_of(beta)[..., None, :]  # broadcasts against the (21, 10) basis
+    return np.exp((skeleton.shape_basis * beta).sum(axis=-1))
 
 
 def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations):
     """World joint positions for a batch of frames, shape (..., N, 21, 3).
 
     Shapes: beta (..., 10), orients (..., N, 3), positions (..., N, 3),
-    joint_rotations (..., N, 15, 3), with the same leading batch axes (none
-    for one sequence). Any argument may be a tape Tensor. Joint j sits at
-    parent + parent_world_rotation @ (scale_j * rest_offset_j); a joint's own
-    rotation only affects its descendants, and fingertips carry none.
+    joint_rotations (..., N, 15, 3) or (..., N, 45), with the same leading
+    batch axes (none for one sequence). Any argument may be a tape Tensor.
+    Joint j sits at parent + parent_world_rotation @ (scale_j * rest_offset_j);
+    a joint's own rotation moves only its descendants, and fingertips have none.
 
-    The chains of ``skeleton.chains`` are walked by depth on plain values,
-    one step per level over all five fingers, after smplx's
-    ``batch_rigid_transform``. The walk records one tape node, whose VJP
-    ``_chain_vjp`` walks back from the fingertips into the rotation matrices,
-    the scaled offsets and the wrist positions.
+    The whole map records one tape node, whose VJP is ``_fk_vjp``. On plain
+    values it takes the bone scales, the scaled offsets, Rodrigues of the
+    wrist and joint axis-angles, and then walks the chains of
+    ``skeleton.chains`` by depth, one step per level over all five fingers,
+    after smplx's ``batch_rigid_transform``.
     """
     scales = bone_scales(skeleton, beta)
-    lead = ad.value_of(orients).shape[:-1]  # (..., N)
-    aa_all = ad.concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
-    rots = rotation_matrices(aa_all)  # (..., N, 16, 3, 3)
-    offsets = ad.reshape(scales, lead[:-1] + (NUM_JOINTS, 1)) * skeleton.rest_offsets
-    r, off, p = (ad.value_of(x) for x in (rots, offsets, positions))
+    o, p, j = (ad.value_of(x) for x in (orients, positions, joint_rotations))
+    lead = o.shape[:-1]  # (..., N)
+    aa = np.concatenate([o.reshape(lead + (1, 3)), j.reshape(lead + (NUM_ARTICULATED, 3))], axis=-2)
+    r, rodrigues = _rodrigues(aa)  # (..., N, 16, 3, 3)
+    off = scales.reshape(lead[:-1] + (NUM_JOINTS, 1)) * skeleton.rest_offsets
     # parents[d]: the world rotation of level d's parents; the base joints share the wrist's
     parents = [r[..., :1, :, :]]
     for level_slots in skeleton.slots.T:
@@ -232,33 +239,48 @@ def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations)
     for level, parent, step in zip(skeleton.chains.T, parents, steps):
         pos = pos + (parent * step).sum(axis=-1)
         joints[..., level, :] = pos
-    ctx = (skeleton.chains, skeleton.slots, parents, steps)
-    return ad._record(joints, _chain_vjp, (rots, offsets, positions), ctx)
+    ctx = (skeleton, scales, aa, r, rodrigues, parents, steps)
+    return ad._record(joints, _fk_vjp, (beta, orients, positions, joint_rotations), ctx)
 
 
-def _chain_vjp(g, node, i):
+def _fk_vjp(g, node):
     """Back from the fingertips: a joint's position gradient reaches every
-    ancestor unchanged, and its parent's rotation through its step."""
-    chains, slots, parents, steps = node.ctx
-    if i == 2:  # every joint moves with the wrist position
-        return g.sum(axis=-2)
+    ancestor unchanged, its parent's rotation through its step, and its
+    scaled offset through its parent's rotation. Then back through Rodrigues
+    to the axis-angles, and through the offsets and the scales to beta."""
+    skeleton, scales, aa, r, rodrigues, parents, steps = node.ctx
+    chains, slots = skeleton.chains, skeleton.slots
+    live_beta, live_orients, live_positions, live_rotations = (
+        isinstance(x, ad.Tensor) for x in node.inputs
+    )
     # (..., N, 5, 4, 3): each level's position gradient plus its descendants'
     g_pos = np.cumsum(g[..., chains[:, ::-1], :], axis=-2)[..., ::-1, :]
-    out = np.zeros(node.inputs[i].value.shape)
-    if i == 1:
+    grads = [None, None, g.sum(axis=-2) if live_positions else None, None]
+    if live_beta:
+        g_off = np.zeros(scales.shape + (3,))
         for depth in range(CHAIN_LENGTH):  # parent^T g, summed over frames
             g_step = (parents[depth] * g_pos[..., depth, :, None]).sum(axis=-2)
-            out[..., chains[:, depth], :] = g_step.sum(axis=-3)
-        return out
-    for depth in reversed(range(CHAIN_LENGTH)):
-        g_parent = g_pos[..., depth, :, None] * steps[depth]
-        if depth < CHAIN_LENGTH - 1:  # g_rot: the gradient of this level's rotations
-            child = node.inputs[0].value[..., slots[:, depth], :, :]
-            g_parent = g_parent + g_rot @ np.swapaxes(child, -1, -2)
-            out[..., slots[:, depth], :, :] = np.swapaxes(parents[depth], -1, -2) @ g_rot
-        g_rot = g_parent
-    out[..., 0, :, :] = g_rot.sum(axis=-3)
-    return out
+            g_off[..., chains[:, depth], :] = g_step.sum(axis=-3)
+        # offsets = scales * rest_offsets, scales = exp(sum(basis * beta))
+        g_scales = (g_off * skeleton.rest_offsets).sum(axis=-1) * scales
+        grads[0] = (g_scales[..., None] * skeleton.shape_basis).sum(axis=-2)
+    if live_orients or live_rotations:
+        g_r = np.zeros(r.shape)
+        for depth in reversed(range(CHAIN_LENGTH)):
+            g_parent = g_pos[..., depth, :, None] * steps[depth]
+            if depth < CHAIN_LENGTH - 1:  # g_rot: the gradient of this level's rotations
+                child = r[..., slots[:, depth], :, :]
+                g_parent = g_parent + g_rot @ np.swapaxes(child, -1, -2)
+                g_r[..., slots[:, depth], :, :] = np.swapaxes(parents[depth], -1, -2) @ g_rot
+            g_rot = g_parent
+        g_r[..., 0, :, :] = g_rot.sum(axis=-3)
+        del g_pos, g_parent, g_rot, child  # keeps the peak at one node's temporaries
+        g_aa = _rodrigues_grad(g_r, aa, *rodrigues)
+        if live_orients:
+            grads[1] = g_aa[..., 0, :].reshape(node.inputs[1].value.shape)
+        if live_rotations:
+            grads[3] = g_aa[..., 1:, :].reshape(node.inputs[3].value.shape)
+    return grads
 
 
 # ----- model file -----

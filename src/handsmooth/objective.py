@@ -3,8 +3,8 @@ temporal acceleration penalties on pose, orientation, and position series.
 
 All loss code is written against the autodiff dispatch helpers, so the same
 functions evaluate with plain arrays (fast, tape-free) or record onto a tape
-for gradients. The acceleration and reprojection terms are fused ops: each
-evaluates on plain values and records one node with a hand-written VJP.
+for gradients. The acceleration terms (all three as one node) and the
+reprojection term are fused ops, evaluated on plain values with hand-written VJPs.
 The tape-free route also takes leading batch axes: the flat
 objective maps a (P,) vector to a scalar and a (B, P) block of vectors to
 (B,) values, row by row.
@@ -170,32 +170,55 @@ def acceleration_loss(series):
     the result has shape (...). Joint rotations enter as (..., N, 45). Per
     batch row it equals sum_t |x_t - 2 x_{t-1} + x_{t-2}| / ((N - 2) * D),
     using the smoothed absolute value, so a constant or constant-velocity
-    series scores 0 and gradients exist there.
+    series scores 0 and gradients exist there. It is ``_acceleration`` on
+    this one series with weight 1.0, one tape node.
 
     The terms on wrist orients and positions are not invariant under a
     rotation of the world and rig, by construction: the first takes second
     differences of world axis-angle vectors, and the second smooths |.| per
     world coordinate. The pose term and the reprojection term are invariant.
     """
-    s = ad.value_of(series)
-    if s.ndim < 2 or s.shape[-2] < MIN_FRAMES:
-        raise ValueError("acceleration needs a (..., N, D) series with N >= 3 frames")
-    d2 = s[..., 2:, :] - s[..., 1:-1, :] * 2.0 + s[..., :-2, :]
-    root = np.sqrt(d2 * d2 + DELTA * DELTA)
-    count = float(d2.shape[-2] * d2.shape[-1])
-    value = (root - DELTA).sum(axis=(-2, -1)) / count
-    return ad._record(value, _acceleration_vjp, (series,), (d2, root, count))
+    return _acceleration((series,), (1.0,))[0]
 
 
-def _acceleration_vjp(g, node, i):
-    """D2^T applied to the gradient of each second difference."""
-    d2, root, count = node.ctx
-    gd = (g / count)[..., None, None] * (d2 / root)
-    out = np.zeros(node.inputs[0].value.shape)
-    out[..., 2:, :] += gd
-    out[..., 1:-1, :] -= gd * 2.0
-    out[..., :-2, :] += gd
-    return out
+def _acceleration(series, weights):
+    """The weighted sum of ``acceleration_loss`` over several series, in
+    their order, and the unweighted terms as plain values. A term whose
+    weight is 0.0 is evaluated but left out of the sum, which is +0.0 per
+    batch row when every weight is 0.0. The sum records one tape node, whose
+    VJP is ``_acceleration_vjp``; a zero-weight series gets no gradient."""
+    terms, ctx, total = [], [], None
+    for s, weight in zip(series, weights):
+        s = ad.value_of(s)
+        if s.ndim < 2 or s.shape[-2] < MIN_FRAMES:
+            raise ValueError("acceleration needs a (..., N, D) series with N >= 3 frames")
+        d2 = s[..., 2:, :] - s[..., 1:-1, :] * 2.0 + s[..., :-2, :]
+        root = np.sqrt(d2 * d2 + DELTA * DELTA)
+        count = float(d2.shape[-2] * d2.shape[-1])
+        terms.append((root - DELTA).sum(axis=(-2, -1)) / count)
+        ctx.append((weight, d2, root, count) if weight != 0.0 else None)
+        if weight != 0.0:
+            total = terms[-1] * weight if total is None else total + terms[-1] * weight
+    if total is None:
+        total = np.zeros(terms[0].shape)[()]
+    return ad._record(total, _acceleration_vjp, tuple(series), ctx), terms
+
+
+def _acceleration_vjp(g, node):
+    """D2^T applied to the gradient of each weighted second difference."""
+    grads = []
+    for x, term in zip(node.inputs, node.ctx):
+        if term is None or not isinstance(x, ad.Tensor):
+            grads.append(None)
+            continue
+        weight, d2, root, count = term
+        gd = (g * weight / count)[..., None, None] * (d2 / root)
+        out = np.zeros(x.value.shape)
+        out[..., 2:, :] += gd
+        out[..., 1:-1, :] -= gd * 2.0
+        out[..., :-2, :] += gd
+        grads.append(out)
+    return grads
 
 
 def trajectory_joints(traj: TrajectoryParams, skeleton: HandSkeleton) -> np.ndarray:
@@ -248,7 +271,7 @@ def _reprojection(joints, obs: SequenceObservation, norm: str):
     return ad._record(value, _reprojection_vjp, (joints,), ctx)
 
 
-def _reprojection_vjp(g, node, i):
+def _reprojection_vjp(g, node):
     """Through each view's residual norm, then the pinhole map on the
     landmarks that count, with the camera-frame points of the forward, then
     each view's world-to-camera rotation."""
@@ -271,12 +294,7 @@ def _reprojection_vjp(g, node, i):
     out = np.zeros((mask[0].size, 3))
     for (_, extr), g_view in zip(views, g_cam.reshape(len(mask), 3, -1)):  # in view order
         out += g_view.T @ extr.rotation
-    return out.reshape(node.inputs[0].value.shape)
-
-
-def _live(x, weight):
-    # a zero-weight term is evaluated on plain values, off any tape
-    return x if weight != 0.0 else ad.value_of(x)
+    return (out.reshape(node.inputs[0].value.shape),)
 
 
 def loss_components(
@@ -328,40 +346,29 @@ def make_flat_objective(
     ``TrajectoryParams.to_flat``. A (P,) vector, Tensor or array, gives a
     scalar; a (B, P) block of plain vectors gives (B,) values, one per row.
     When ``terms_out`` is a dict, each scalar evaluation stores its four
-    unweighted terms there as floats; block evaluations leave it alone. A
-    zero-weight term is evaluated on plain values: it is still reported, but
-    stays off the tape and out of the total. Without ``optimize_shape`` the
-    shape block is read as a plain value: it stays off the tape, and its
+    unweighted terms there as floats; block evaluations leave it alone. The
+    total is the weighted sum of the acceleration terms (one node), plus the
+    weighted reprojection term when its weight is not 0.0: a tape pass
+    records 12 nodes, the leaf, the flat split (6), the acceleration terms,
+    FK, the reprojection, its weight and the total. A zero-weight term is
+    still reported, but stays out of the total and gets no gradient. Without
+    ``optimize_shape`` the shape block is read as a plain value, and its
     gradient is exactly 0."""
     n = obs.num_frames
-    ws = (weights.acce_pose, weights.acce_orients, weights.acce_position, weights.reprojection)
+    accel_weights = (weights.acce_pose, weights.acce_orients, weights.acce_position)
 
     def objective(vec):
         shape_vec, orients, positions, joint_rots = _split_flat(vec, n)
         if not optimize_shape:
             shape_vec = ad.value_of(shape_vec)
-        terms = {
-            "acce_pose": acceleration_loss(_live(joint_rots, ws[0])),
-            "acce_orients": acceleration_loss(_live(orients, ws[1])),
-            "acce_position": acceleration_loss(_live(positions, ws[2])),
-        }
-        # Recorded after the acceleration terms, so the backward sweep adds
-        # FK's share of the joint-rotation gradient first: the refined bytes
-        # depend on that order of summation.
-        rots = ad.reshape(joint_rots, ad.value_of(joint_rots).shape[:-1] + (NUM_ARTICULATED, 3))
-        joints = fk_joints(
-            skeleton, *(_live(x, ws[3]) for x in (shape_vec, orients, positions, rots))
-        )
-        terms["loss_2d"] = _reprojection(joints, obs, norm)
-        total = None
-        for name, weight in zip(TERMS, ws):
-            if weight != 0.0:
-                scaled = terms[name] * weight
-                total = scaled if total is None else total + scaled
-        if total is None:
-            # all weights zero: a constant +0.0 per batch row that still
-            # depends on the tape
-            total = ad.sum(orients * orients, axis=(-2, -1)) * 0.0
+        total, accel_terms = _acceleration((joint_rots, orients, positions), accel_weights)
+        terms = dict(zip(TERMS, accel_terms))
+        fk_inputs = (shape_vec, orients, positions, joint_rots)
+        if weights.reprojection == 0.0:  # reported, from plain values off the tape
+            fk_inputs = tuple(ad.value_of(x) for x in fk_inputs)
+        terms["loss_2d"] = _reprojection(fk_joints(skeleton, *fk_inputs), obs, norm)
+        if weights.reprojection != 0.0:
+            total = total + terms["loss_2d"] * weights.reprojection
         if terms_out is not None and ad.value_of(total).ndim == 0:
             terms_out.update((name, float(ad.value_of(v))) for name, v in terms.items())
         return total

@@ -4,48 +4,106 @@ references, and the primitives they were built from.
 ``rotation_matrices``, ``acceleration_loss`` and ``_reprojection`` each record
 one node with a hand-written VJP. The functions below record the same
 computations step by step, on ops with one-line VJPs, so the sweep derives
-their gradients by the chain rule. (The chain walk of ``fk_joints`` is the
-fourth fused op; its reference, ``fk_reference``, is in ``test_hand_model``.)
-The fused ops must reproduce these values bitwise and their gradients to
-within rounding.
+their gradients by the chain rule. (``fk_joints`` is the fourth fused op; its
+per-joint reference, ``fk_reference``, is in ``test_hand_model``.) The fused
+ops must reproduce these values bitwise and their gradients to within
+rounding. ``exp``, ``sum`` and ``concat`` were tape primitives of the package
+until FK and the acceleration terms became one node each.
 
-The last section keeps earlier forms of two fused ops, each one node with its
-own VJP: Rodrigues built with ``np.stack`` and broadcast sums, and the
-reprojection that projected and differentiated one view at a time. The
+The section after that keeps earlier forms of two fused ops, each one node
+with its own VJP: Rodrigues built with ``np.stack`` and broadcast sums, and
+the reprojection that projected and differentiated one view at a time. The
 current ops must reproduce their values and gradients bit for bit.
+
+The last section keeps the objective as it was taped when FK was nine nodes
+(``fk_glue``, over the taped ``bone_scales_taped`` and the ``chain_walk``
+node) and each acceleration term its own node (``acceleration_node``), with
+the weighted total as mul and add nodes (``glue_objective``). The fused
+objective must reproduce its loss, terms and gradient bit for bit.
 
 ``autodiff.Tensor`` has operators for ``+``, ``*`` and indexing only;
 subtraction, division and matrix products are called as the functions
 :func:`sub`, :func:`div` and :func:`matmul`.
 """
 
+from itertools import accumulate
+
 import numpy as np
 
 import handsmooth.autodiff as ad
 from handsmooth import camera as cam
+from handsmooth import hand_model as hm
 from handsmooth.errors import DegenerateObservationError
-from handsmooth.hand_model import SERIES_DERIVATIVE_SQ, SMALL_ANGLE_SQ
-from handsmooth.objective import DELTA
+from handsmooth.hand_model import (
+    CHAIN_LENGTH,
+    NUM_ARTICULATED,
+    NUM_FINGERS,
+    NUM_JOINTS,
+    NUM_SHAPE_PARAMS,
+    SERIES_DERIVATIVE_SQ,
+    SMALL_ANGLE_SQ,
+)
+from handsmooth.objective import DELTA, TERMS, LossWeights, _reprojection, _split_flat
 
 # ----- ops recorded as autodiff records its primitives -----
+
+
+def each_operand(node, grad):
+    """The VJP protocol's list: ``grad(i)`` for each Tensor operand i, None
+    for the others."""
+    return [grad(i) if isinstance(x, ad.Tensor) else None for i, x in enumerate(node.inputs)]
+
+
+def exp(x):
+    return ad._record(np.exp(ad.value_of(x)), _exp_vjp, (x,))
+
+
+def _exp_vjp(g, node):
+    return (g * node.value,)
+
+
+def sum(x, axis=None):  # noqa: A001 - numpy-style name
+    return ad._record(ad.value_of(x).sum(axis=axis), _sum_vjp, (x,), axis)
+
+
+def _sum_vjp(g, node):
+    if node.ctx is not None:
+        g = np.expand_dims(g, node.ctx)
+    return (np.broadcast_to(g, node.inputs[0].value.shape),)
+
+
+def concat(parts, axis=0):
+    vals = [ad.value_of(p) for p in parts]
+    value = np.concatenate(vals, axis=axis)
+    ax = axis % value.ndim
+    ends = accumulate(v.shape[ax] for v in vals)
+    keys = [slice(end - v.shape[ax], end) for end, v in zip(ends, vals)]
+    return ad._record(value, _concat_vjp, tuple(parts), (ax, keys))
+
+
+def _concat_vjp(g, node):
+    """ctx is (axis, the slice of each part along that axis of the output)."""
+    ax, keys = node.ctx
+    return each_operand(node, lambda i: g[(slice(None),) * ax + (keys[i],)])
+
 
 
 def sub(a, b):
     return ad._record(ad.value_of(a) - ad.value_of(b), _sub_vjp, (a, b))
 
 
-def _sub_vjp(g, node, i):
-    return -g if i else g
+def _sub_vjp(g, node):
+    return each_operand(node, lambda i: -g if i else g)
 
 
 def div(a, b):
     return ad._record(ad.value_of(a) / ad.value_of(b), _div_vjp, (a, b))
 
 
-def _div_vjp(g, node, i):
+def _div_vjp(g, node):
     a, b = node.inputs
     bv = ad.value_of(b)
-    return -g * ad.value_of(a) / (bv * bv) if i else g / bv
+    return each_operand(node, lambda i: -g * ad.value_of(a) / (bv * bv) if i else g / bv)
 
 
 def matmul(a, b):
@@ -56,11 +114,10 @@ def matmul(a, b):
     return ad._record(av @ bv, _matmul_vjp, (a, b))
 
 
-def _matmul_vjp(g, node, i):
+def _matmul_vjp(g, node):
     a, b = node.inputs
-    if i:
-        return np.swapaxes(ad.value_of(a), -1, -2) @ g
-    return g @ np.swapaxes(ad.value_of(b), -1, -2)
+    return each_operand(node, lambda i: np.swapaxes(ad.value_of(a), -1, -2) @ g if i
+                        else g @ np.swapaxes(ad.value_of(b), -1, -2))
 
 
 def stack(parts, axis=0):
@@ -68,40 +125,40 @@ def stack(parts, axis=0):
     return ad._record(value, _stack_vjp, tuple(parts), axis % value.ndim)
 
 
-def _stack_vjp(g, node, i):
-    return np.take(g, i, axis=node.ctx)
+def _stack_vjp(g, node):
+    return each_operand(node, lambda i: np.take(g, i, axis=node.ctx))
 
 
 def neg(x):
     return ad._record(-ad.value_of(x), _neg_vjp, (x,))
 
 
-def _neg_vjp(g, node, i):
-    return -g
+def _neg_vjp(g, node):
+    return (-g,)
 
 
 def sin(x):
     return ad._record(np.sin(ad.value_of(x)), _sin_vjp, (x,))
 
 
-def _sin_vjp(g, node, i):
-    return g * np.cos(node.inputs[0].value)
+def _sin_vjp(g, node):
+    return (g * np.cos(node.inputs[0].value),)
 
 
 def cos(x):
     return ad._record(np.cos(ad.value_of(x)), _cos_vjp, (x,))
 
 
-def _cos_vjp(g, node, i):
-    return -g * np.sin(node.inputs[0].value)
+def _cos_vjp(g, node):
+    return (-g * np.sin(node.inputs[0].value),)
 
 
 def sqrt(x):
     return ad._record(np.sqrt(ad.value_of(x)), _sqrt_vjp, (x,))
 
 
-def _sqrt_vjp(g, node, i):
-    return g * (0.5 / node.value)
+def _sqrt_vjp(g, node):
+    return (g * (0.5 / node.value),)
 
 
 def abs_smooth(x, delta=ad.ABS_SMOOTH_DELTA):
@@ -111,12 +168,12 @@ def abs_smooth(x, delta=ad.ABS_SMOOTH_DELTA):
     return ad._record(root - delta, _abs_smooth_vjp, (x,), root)
 
 
-def _abs_smooth_vjp(g, node, i):
-    return g * (node.inputs[0].value / node.ctx)
+def _abs_smooth_vjp(g, node):
+    return (g * (node.inputs[0].value / node.ctx),)
 
 
 def mean(x, axis=None):
-    total = ad.sum(x, axis)
+    total = sum(x, axis)
     return div(total, float(ad.value_of(x).size // ad.value_of(total).size))
 
 
@@ -194,7 +251,7 @@ def reprojection_reference(joints, obs, norm):
         else:
             dist = abs_smooth(du) + abs_smooth(dv)
         count = count + mask.sum(axis=(-2, -1))
-        s = ad.sum(dist * mask, axis=(-2, -1))
+        s = sum(dist * mask, axis=(-2, -1))
         total = s if total is None else total + s
     if np.any(count == 0.0):
         raise DegenerateObservationError("no landmark is visible and in front of a camera")
@@ -239,7 +296,7 @@ def rodrigues_stacked(aa):
     return ad._record(value, _rodrigues_stacked_vjp, (aa,), (t2, a, b))
 
 
-def _rodrigues_stacked_vjp(g, node, i):
+def _rodrigues_stacked_vjp(g, node):
     t2, a, b = node.ctx
     w = node.inputs[0].value
     series = t2 < SERIES_DERIVATIVE_SQ
@@ -263,7 +320,7 @@ def _rodrigues_stacked_vjp(g, node, i):
     g_a = np.sum(w * s, axis=-1)
     g_b = 0.5 * np.sum(w * sym_w, axis=-1) - t2 * trace
     g_t2 = g_a * da + g_b * db - b * trace
-    return a[..., None] * s + b[..., None] * sym_w + (2.0 * g_t2)[..., None] * w
+    return (a[..., None] * s + b[..., None] * sym_w + (2.0 * g_t2)[..., None] * w,)
 
 
 def project_one_view(points, view):
@@ -311,7 +368,7 @@ def reprojection_per_view(joints, obs, norm):
     return ad._record(total / count, _reprojection_per_view_vjp, (joints,), (obs, count, residuals))
 
 
-def _reprojection_per_view_vjp(g, node, i):
+def _reprojection_per_view_vjp(g, node):
     obs, count, residuals = node.ctx
     points = node.inputs[0].value
     scale = (g / count)[..., None, None]
@@ -325,4 +382,131 @@ def _reprojection_per_view_vjp(g, node, i):
         gy = gv * intr.fy / z
         gz = -(gx * p[..., 0] + gy * p[..., 1]) / z
         out += np.stack([gx, gy, gz], axis=-1) @ extr.rotation
+    return (out,)
+
+
+# ----- the objective as it was taped before FK and the acceleration terms
+# ----- became one node each: the glue whose bytes the fused ops reproduce
+
+
+def bone_scales_taped(skeleton, beta):
+    """``hand_model.bone_scales`` recorded step by step: reshape (for a batch
+    of shape vectors), mul, sum and exp nodes."""
+    lead = ad.value_of(beta).shape[:-1]
+    if lead:  # a batch of shape vectors broadcasts against the (21, 10) basis
+        beta = ad.reshape(beta, lead + (1, NUM_SHAPE_PARAMS))
+    return exp(sum(skeleton.shape_basis * beta, axis=-1))
+
+
+def chain_walk(skeleton, rots, offsets, positions):
+    """The chain walk of ``hand_model.fk_joints`` as its own node, on the
+    rotation matrices, the scaled offsets and the wrist positions."""
+    r, off, p = (ad.value_of(x) for x in (rots, offsets, positions))
+    lead = p.shape[:-1]  # (..., N)
+    parents = [r[..., :1, :, :]]
+    for level_slots in skeleton.slots.T:
+        parents.append(parents[-1] @ r[..., level_slots, :, :])
+    steps = [off[..., c, :].reshape(lead[:-1] + (1, NUM_FINGERS, 1, 3)) for c in skeleton.chains.T]
+    joints = np.empty(lead + (NUM_JOINTS, 3))
+    joints[..., 0, :] = p
+    pos = p[..., None, :]
+    for level, parent, step in zip(skeleton.chains.T, parents, steps):
+        pos = pos + (parent * step).sum(axis=-1)
+        joints[..., level, :] = pos
+    ctx = (skeleton.chains, skeleton.slots, parents, steps)
+    return ad._record(joints, _chain_walk_vjp, (rots, offsets, positions), ctx)
+
+
+def _chain_walk_vjp(g, node):
+    return each_operand(node, lambda i: _chain_walk_grad(g, node, i))
+
+
+def _chain_walk_grad(g, node, i):
+    chains, slots, parents, steps = node.ctx
+    if i == 2:
+        return g.sum(axis=-2)
+    g_pos = np.cumsum(g[..., chains[:, ::-1], :], axis=-2)[..., ::-1, :]
+    out = np.zeros(node.inputs[i].value.shape)
+    if i == 1:
+        for depth in range(CHAIN_LENGTH):
+            g_step = (parents[depth] * g_pos[..., depth, :, None]).sum(axis=-2)
+            out[..., chains[:, depth], :] = g_step.sum(axis=-3)
+        return out
+    for depth in reversed(range(CHAIN_LENGTH)):
+        g_parent = g_pos[..., depth, :, None] * steps[depth]
+        if depth < CHAIN_LENGTH - 1:
+            child = node.inputs[0].value[..., slots[:, depth], :, :]
+            g_parent = g_parent + g_rot @ np.swapaxes(child, -1, -2)
+            out[..., slots[:, depth], :, :] = np.swapaxes(parents[depth], -1, -2) @ g_rot
+        g_rot = g_parent
+    out[..., 0, :, :] = g_rot.sum(axis=-3)
     return out
+
+
+def fk_glue(skeleton, beta, orients, positions, joint_rotations):
+    """``hand_model.fk_joints`` as nine nodes: the taped bone scales, the
+    orient reshape, the axis-angle concat, Rodrigues, the offset reshape and
+    mul, and the chain walk. joint_rotations is (..., N, 15, 3)."""
+    scales = bone_scales_taped(skeleton, beta)
+    lead = ad.value_of(orients).shape[:-1]
+    aa_all = concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
+    rots = hm.rotation_matrices(aa_all)
+    offsets = ad.reshape(scales, lead[:-1] + (NUM_JOINTS, 1)) * skeleton.rest_offsets
+    return chain_walk(skeleton, rots, offsets, positions)
+
+
+def acceleration_node(series):
+    """``objective.acceleration_loss`` as its own node on one series."""
+    s = ad.value_of(series)
+    d2 = s[..., 2:, :] - s[..., 1:-1, :] * 2.0 + s[..., :-2, :]
+    root = np.sqrt(d2 * d2 + DELTA * DELTA)
+    count = float(d2.shape[-2] * d2.shape[-1])
+    value = (root - DELTA).sum(axis=(-2, -1)) / count
+    return ad._record(value, _acceleration_node_vjp, (series,), (d2, root, count))
+
+
+def _acceleration_node_vjp(g, node):
+    d2, root, count = node.ctx
+    gd = (g / count)[..., None, None] * (d2 / root)
+    out = np.zeros(node.inputs[0].value.shape)
+    out[..., 2:, :] += gd
+    out[..., 1:-1, :] -= gd * 2.0
+    out[..., :-2, :] += gd
+    return (out,)
+
+
+def glue_objective(obs, skeleton, weights=LossWeights(), norm="l2", terms_out=None,
+                   optimize_shape=True):
+    """``objective.make_flat_objective`` with one node per acceleration term,
+    FK as ``fk_glue``, the weighted total as mul and add nodes, and an
+    all-zero-weights total of sum(orients * orients) * 0.0."""
+    n = obs.num_frames
+    ws = (weights.acce_pose, weights.acce_orients, weights.acce_position, weights.reprojection)
+
+    def live(x, weight):
+        return x if weight != 0.0 else ad.value_of(x)
+
+    def objective(vec):
+        shape_vec, orients, positions, joint_rots = _split_flat(vec, n)
+        if not optimize_shape:
+            shape_vec = ad.value_of(shape_vec)
+        terms = {
+            "acce_pose": acceleration_node(live(joint_rots, ws[0])),
+            "acce_orients": acceleration_node(live(orients, ws[1])),
+            "acce_position": acceleration_node(live(positions, ws[2])),
+        }
+        rots = ad.reshape(joint_rots, ad.value_of(joint_rots).shape[:-1] + (NUM_ARTICULATED, 3))
+        joints = fk_glue(skeleton, *(live(x, ws[3]) for x in (shape_vec, orients, positions, rots)))
+        terms["loss_2d"] = _reprojection(joints, obs, norm)
+        total = None
+        for name, weight in zip(TERMS, ws):
+            if weight != 0.0:
+                scaled = terms[name] * weight
+                total = scaled if total is None else total + scaled
+        if total is None:
+            total = sum(orients * orients, axis=(-2, -1)) * 0.0
+        if terms_out is not None and ad.value_of(total).ndim == 0:
+            terms_out.update((name, float(ad.value_of(v))) for name, v in terms.items())
+        return total
+
+    return objective

@@ -7,8 +7,9 @@ taped. Gradients must agree within 1e-12 of the reference's largest
 component, since the two sum their gradients in different orders.
 
 ``composed`` also keeps the earlier fused forms of Rodrigues (stacked) and of
-the reprojection (one view at a time). Against those, values and gradients
-must agree bit for bit, signed zeros included.
+the reprojection (one view at a time), and the objective as it was taped
+before FK and the three acceleration terms became one node each. Against
+those, values and gradients must agree bit for bit, signed zeros included.
 """
 
 from dataclasses import replace
@@ -19,16 +20,20 @@ import pytest
 import handsmooth as hs
 import handsmooth.autodiff as ad
 from handsmooth.camera import MIN_DEPTH
-from handsmooth.hand_model import SERIES_DERIVATIVE_SQ, SMALL_ANGLE_SQ, rotation_matrices
-from handsmooth.objective import REPROJECTION_NORMS, _reprojection
+from handsmooth.hand_model import SERIES_DERIVATIVE_SQ, SMALL_ANGLE_SQ, fk_joints, rotation_matrices
+from handsmooth.objective import REPROJECTION_NORMS, TERMS, _reprojection
 
 from composed import (
+    acceleration_node,
     acceleration_reference,
+    fk_glue,
+    glue_objective,
     project_one_view,
     reprojection_per_view,
     reprojection_reference,
     rodrigues_reference,
     rodrigues_stacked,
+    sum,
 )
 
 PROBLEMS = pytest.mark.parametrize(
@@ -61,7 +66,7 @@ def assert_fused_matches(op, reference, x, weights):
     assert taped.value.tobytes() == plain.tobytes()
 
     def gradient(fn):
-        return ad.record_and_backprop(lambda v: ad.sum(fn(v) * weights), x)
+        return ad.record_and_backprop(lambda v: sum(fn(v) * weights), x)
 
     (value, grad), (ref_value, ref_grad) = gradient(op), gradient(reference)
     assert value == ref_value
@@ -77,7 +82,7 @@ def assert_bitwise(op, reference, x, weights):
     assert op(ad.Tensor(x, ad.Tape())).value.tobytes() == plain.tobytes()
 
     def gradient(fn):
-        return ad.record_and_backprop(lambda v: ad.sum(fn(v) * weights), x)
+        return ad.record_and_backprop(lambda v: sum(fn(v) * weights), x)
 
     (value, grad), (ref_value, ref_grad) = gradient(op), gradient(reference)
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
@@ -157,6 +162,13 @@ class TestAcceleration:
         weights = np.arange(1.0, 4.0) if batched else 1.0
         for s in series:
             assert_fused_matches(hs.acceleration_loss, acceleration_reference, s, weights)
+
+    @PROBLEMS
+    def test_equals_single_node_form_bitwise(self, frames, seed, batched):
+        _, series, _, _ = problem(frames, seed, batched)
+        weights = np.arange(1.0, 4.0) if batched else 1.0
+        for s in series:
+            assert_bitwise(hs.acceleration_loss, acceleration_node, s, weights)
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_three_frame_series(self, batched):
@@ -292,3 +304,118 @@ class TestReprojectionBitwise:
         assert not in_front[0, 0] and in_front[0, 1]
         assert 0 < in_front.sum() < in_front.size
         assert_reprojection_bitwise(joints, obs, norm, 1.0)
+
+
+def split(vec, shapes):
+    """Consecutive pieces of a flat vector, each reshaped to its shape."""
+    pieces, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        pieces.append(ad.reshape(vec[start:start + size], shape))
+        start += size
+    return pieces
+
+
+def fk_inputs(frames, seed, batched):
+    """(beta, orients, positions, joint_rotations (..., N, 15, 3)) of
+    random_problem(frames, 2, seed); batched stacks two perturbed copies."""
+    traj, _, _ = hs.random_problem(frames, 2, seed)
+    parts = (traj.shape, traj.orients, traj.positions, traj.joint_rotations)
+    return tuple(batch_of(a, seed) for a in parts) if batched else parts
+
+
+class TestFusedFKBitwise:
+    """``fk_joints``, one node, against ``composed.fk_glue``, the nine nodes
+    it replaced."""
+
+    @pytest.mark.parametrize("live_shape", [False, True])
+    @pytest.mark.parametrize("rotations", ["(N, 45)", "(N, 15, 3)"])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_glue(self, skeleton, seed, batched, rotations, live_shape):
+        inputs = list(fk_inputs(6, seed, batched))
+        lead = inputs[1].shape[:-1]
+        shapes = [a.shape for a in inputs]
+        shapes[3] = lead + ((45,) if rotations == "(N, 45)" else (15, 3))
+        glue_shapes = shapes[:3] + [lead + (15, 3)]
+        flat = np.concatenate([a.ravel() for a in inputs])
+        weights = np.random.default_rng(seed).normal(size=lead + (21, 3))
+
+        def objective(fk, shapes):
+            def fn(vec):
+                beta, *rest = split(vec, shapes)
+                beta = beta if live_shape else ad.value_of(beta)
+                return sum(fk(skeleton, beta, *rest) * weights)
+            return fn
+
+        plain = np.asarray(fk_joints(skeleton, *split(flat, shapes)))
+        assert plain.tobytes() == np.asarray(fk_glue(skeleton, *split(flat, glue_shapes))).tobytes()
+        loss, grad = ad.record_and_backprop(objective(fk_joints, shapes), flat)
+        glue_loss, glue_grad = ad.record_and_backprop(objective(fk_glue, glue_shapes), flat)
+        assert np.float64(loss).tobytes() == np.float64(glue_loss).tobytes()
+        assert grad.tobytes() == glue_grad.tobytes()
+        assert np.all(grad[:inputs[0].size] != 0.0) == live_shape
+
+    def test_four_leaves_record_one_node(self, skeleton):
+        tape = ad.Tape()
+        leaves = [ad.Tensor(a, tape) for a in fk_inputs(6, 0, False)]
+        joints = fk_joints(skeleton, *leaves)
+        assert tape.nodes == leaves + [joints]
+
+
+# (acce_pose, acce_orients, acce_position, reprojection): the defaults, weights
+# that are not powers of two, so that every product by a weight rounds, each
+# single zero weight, and every acceleration weight zero
+WEIGHT_SETS = pytest.mark.parametrize("weights", [
+    hs.LossWeights(),
+    hs.LossWeights(0.3, 0.7, 1.3, 0.9),
+    hs.LossWeights(acce_pose=0.0),
+    hs.LossWeights(acce_orients=0.0),
+    hs.LossWeights(acce_position=0.0),
+    hs.LossWeights(reprojection=0.0),
+    hs.LossWeights(0.0, 0.0, 0.0, 1.0),
+], ids=["default", "uneven", "pose0", "orients0", "position0", "reprojection0", "accel0"])
+
+
+def objective_bytes(make, obs, skeleton, weights, norm, optimize_shape, flat):
+    """The bytes of the loss, the terms, the gradient and the tape-free
+    values of five rows near ``flat``, through the objective ``make`` builds."""
+    terms = {}
+    objective = make(obs, skeleton, weights, norm, terms, optimize_shape)
+    loss, grad = ad.record_and_backprop(objective, flat)
+    block = flat + np.random.default_rng(0).normal(0.0, 1e-3, (5, flat.size))
+    block[0] = flat
+    rows = np.asarray(objective(block))
+    return {"loss": np.float64(loss).tobytes(),
+            "terms": [np.float64(terms[k]).tobytes() for k in TERMS],
+            "gradient": grad.tobytes(), "rows": rows.tobytes()}
+
+
+class TestFusedObjectiveBitwise:
+    """``make_flat_objective`` (12 nodes) against ``composed.glue_objective``
+    (23, 28 with a live shape), loss, terms, gradient and tape-free rows bit
+    for bit."""
+
+    @WEIGHT_SETS
+    @pytest.mark.parametrize("norm", REPROJECTION_NORMS)
+    @pytest.mark.parametrize("optimize_shape", [False, True])
+    def test_matches_glue(self, weights, norm, optimize_shape):
+        for seed in range(3):
+            traj, obs, skeleton = hs.random_problem(5, 2, seed)
+            args = (obs, skeleton, weights, norm, optimize_shape, traj.to_flat())
+            assert (objective_bytes(hs.make_flat_objective, *args)
+                    == objective_bytes(glue_objective, *args)), seed
+
+    def test_all_zero_weights_gradient_has_no_sign_bit(self):
+        # the glue's all-zero total, sum(orients * orients) * 0.0, gave -0.0
+        # wherever an orient was negative; everything else is its bytes
+        weights = hs.LossWeights(0.0, 0.0, 0.0, 0.0)
+        for seed in range(3):
+            traj, obs, skeleton = hs.random_problem(5, 2, seed)
+            assert np.any(traj.orients < 0.0)
+            args = (obs, skeleton, weights, "l2", True, traj.to_flat())
+            ours = objective_bytes(hs.make_flat_objective, *args)
+            glue = objective_bytes(glue_objective, *args)
+            assert ours.pop("gradient") == bytes(8 * traj.to_flat().size)  # every entry +0.0
+            glue.pop("gradient")
+            assert ours == glue

@@ -24,7 +24,7 @@ from handsmooth.hand_model import (
     skeleton_from_dict,
 )
 
-from composed import matmul, stack
+from composed import bone_scales_taped, concat, matmul, stack, sum
 
 MODEL_JSON = (
     pathlib.Path(__file__).parent.parent
@@ -58,9 +58,9 @@ def fk_reference(skeleton, beta, orients, positions, joint_rotations):
     ``fk_joints`` must reproduce bitwise, and whose gradients, which the sweep
     derives by the chain rule, its hand-written VJP must reproduce to within
     rounding."""
-    scales = hs.bone_scales(skeleton, beta)
+    scales = bone_scales_taped(skeleton, beta)
     lead = ad.value_of(orients).shape[:-1]  # (..., N)
-    aa_all = ad.concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
+    aa_all = concat([ad.reshape(orients, lead + (1, 3)), joint_rotations], axis=-2)
     rots = rotation_matrices(aa_all)  # (..., N, 16, 3, 3)
     articulated = np.sort(skeleton.chains[:, :-1], axis=None)
     slot = {int(j): k + 1 for k, j in enumerate(articulated)}
@@ -71,7 +71,7 @@ def fk_reference(skeleton, beta, orients, positions, joint_rotations):
         offset = scales[..., j : j + 1] * skeleton.rest_offsets[j]  # (..., 3)
         rp = world_rot[p]
         step = ad.reshape(offset, lead[:-1] + (1, 1, 3))
-        world_pos[j] = world_pos[p] + ad.sum(rp * step, axis=-1)
+        world_pos[j] = world_pos[p] + sum(rp * step, axis=-1)
         if j in slot:
             world_rot[j] = matmul(rp, rots[..., slot[j], :, :])
     return stack([world_pos[j] for j in range(21)], axis=-2)
@@ -150,7 +150,7 @@ class TestRotations:
         weights = np.arange(1.0, 10.0).reshape(3, 3) / 9.0
 
         def fn(p):
-            return ad.sum(rotation_matrices(p) * weights, axis=(-2, -1))
+            return sum(rotation_matrices(p) * weights, axis=(-2, -1))
 
         assert ad.check_gradient(fn, theta * axis) < 1e-9
 
@@ -347,7 +347,7 @@ def fk_objective(fk, skeleton, frames, seed, live_shape=True):
         per_frame = ad.reshape(vec[..., 10:], lead + (frames, 51))
         rots = ad.reshape(per_frame[..., 6:51], lead + (frames, 15, 3))
         joints = fk(skeleton, beta, per_frame[..., 0:3], per_frame[..., 3:6], rots)
-        return ad.sum(joints * weights, axis=(-3, -2, -1))
+        return sum(joints * weights, axis=(-3, -2, -1))
 
     return objective
 

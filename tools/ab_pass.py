@@ -19,8 +19,9 @@ state. Each package builds its own inputs from the same seeds:
 Each of 15 rounds times A, B, B, A (A is the parent), each the median of 5
 calls, and takes the ratio parent / child of the two sums, so a ratio above
 1 means the child is faster. Drift of the machine's speed within a round
-cancels. The tool prints the median, min and max of the per-round ratios and
-writes nothing.
+cancels. The tool prints whether the child's loss and gradient bytes equal
+the parent's on the accept and wide passes, then the median, min and max of
+the per-round ratios, and writes nothing.
 """
 
 import gc
@@ -59,6 +60,10 @@ def refine_pass(hs, workloads, name, seed):
     objective = hs.make_flat_objective(obs, skeleton, optimize_shape=False)
     flat = init.to_flat()
     return lambda: hs.autodiff.record_and_backprop(objective, flat)
+
+
+def pass_bytes(loss, grad):
+    return np.float64(loss).tobytes() + grad.tobytes()
 
 
 def gradcheck_pass(hs, seed):
@@ -100,6 +105,9 @@ def main(parent_checkout):
             name.split("-")[0]: [refine_pass(hs, workloads, name, SEED) for hs in (parent, child)]
             for name in ("accept-60f2v", "wide-240f8v")
         }
+        for name, (a, b) in calls.items():
+            same = pass_bytes(*a()) == pass_bytes(*b())
+            print(f"{name:10s} loss and gradient bytes equal the parent's: {same}")
         ratios = {name: [] for name in ("accept", "wide", "gradcheck")}
         for r in range(ROUNDS):
             calls["gradcheck"] = [gradcheck_pass(hs, r) for hs in (parent, child)]
