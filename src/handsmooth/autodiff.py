@@ -119,9 +119,26 @@ def value_of(x):
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=float)
 
 
+# The array kinds each target kind takes (a float array numbers, an int array
+# integers, a bool array booleans), and the words an error names kinds by.
+_TAKES = {"f": "fiu", "i": "iu", "b": "b"}
+_KINDS = {"f": "numbers", "i": "integers", "u": "integers", "b": "booleans",
+          "c": "complex numbers", "U": "strings"}
+
+
 def readonly(a, dtype=float):
-    """A read-only copy of ``a`` as a numpy array of ``dtype``."""
-    a = np.array(a, dtype=dtype)
+    """A read-only copy of ``a`` as a numpy array of ``dtype``.
+
+    ``a`` is read as numpy infers it, and a kind ``dtype`` does not take
+    raises TypeError instead of being cast: strings, objects and complex
+    values everywhere, booleans as numbers, numbers as booleans.
+    """
+    a = np.array(a)
+    dtype = np.dtype(dtype)
+    if a.dtype.kind not in _TAKES[dtype.kind]:
+        got = _KINDS.get(a.dtype.kind, "other values")
+        raise TypeError(f"expected {_KINDS[dtype.kind]}, got {got}")
+    a = a.astype(dtype, copy=False)
     a.setflags(write=False)
     return a
 

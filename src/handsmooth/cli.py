@@ -28,7 +28,7 @@ from .errors import (
     SpecError,
 )
 from .hand_model import DEFAULT_MODEL, load_skeleton
-from .objective import MIN_FRAMES, REPROJECTION_NORMS, LossWeights
+from .objective import REPROJECTION_NORMS, LossWeights
 
 log = logging.getLogger(__name__)
 
@@ -42,38 +42,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
-        return value
-
-    return parse
-
-
-def _float_at_least(minimum: float, strict: bool = False):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-        if not np.isfinite(value) or value < minimum or (strict and value == minimum):
-            bound = ">" if strict else ">="
-            raise argparse.ArgumentTypeError(f"must be {bound} {minimum}")
-        return value
-
-    return parse
-
-
 def cmd_generate(args) -> int:
     motion = formats.load_motion_spec(args.motion_spec)
     noise = formats.load_noise_spec(args.noise_spec)
-    seed = noise.seed if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
+    if args.seed is not None:
+        noise = replace(noise, seed=args.seed)
+    rng = np.random.default_rng(noise.seed)
     skeleton = load_skeleton()
     gt, rig = synth.generate_sequence(motion, rng)
     init = synth.corrupt_trajectory(gt, noise, rng)
@@ -84,20 +58,19 @@ def cmd_generate(args) -> int:
     formats.save_sequence(args.output, seq)
     print(
         f"wrote {args.output}: {gt.num_frames} frames, "
-        f"{rig.num_views} views, seed {seed}"
+        f"{rig.num_views} views, seed {noise.seed}"
     )
     return 0
 
 
 def cmd_smooth(args) -> int:
-    seq = formats.load_sequence(args.input)
-
     def given(cls):  # the fields of cls that a flag set; the rest keep their defaults
         return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
     config = smoother.SmootherConfig(
         weights=LossWeights(**given(LossWeights)), **given(smoother.SmootherConfig)
     )
+    seq = formats.load_sequence(args.input)
     try:
         refined, report = smoother.smooth(
             seq.init, seq.observations, seq.skeleton, config
@@ -155,7 +128,10 @@ def cmd_eval(args) -> int:
 
 def cmd_perturb(args) -> int:
     seq = formats.load_sequence(args.input)
-    rng = np.random.default_rng(args.seed)
+    try:
+        rng = np.random.default_rng(args.seed)
+    except ValueError as e:
+        raise ValueError(f"seed: {e}") from None
     views = tuple(
         (intr, cam.perturb_extrinsics(extr, rng, args.range))
         for intr, extr in seq.rig.views
@@ -170,6 +146,8 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (args.tolerance > 0 and np.isfinite(args.tolerance)):
+        raise ValueError("tolerance must be finite and positive")
     errs = synth.gradient_sweep(args.frames, args.views, args.seeds)
     failures = [
         (seed, err) for seed, err in enumerate(errs) if not err < args.tolerance
@@ -193,12 +171,8 @@ def build_parser() -> _Parser:
     p.add_argument("motion_spec", help="motion spec JSON path")
     p.add_argument("noise_spec", help="noise spec JSON path")
     p.add_argument("output", help="sequence file to write")
-    p.add_argument(
-        "--seed",
-        type=_int_at_least(0),
-        default=None,
-        help="RNG seed (default: the noise spec's seed field)",
-    )
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed (default: the noise spec's seed field)")
     p.set_defaults(func=cmd_generate)
 
     # Every config flag's dest is its SmootherConfig or LossWeights field,
@@ -207,22 +181,21 @@ def build_parser() -> _Parser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("input", help="sequence file to refine")
     p.add_argument("output", help="refined sequence file to write")
-    p.add_argument("--lr", dest="learning_rate", metavar="LR",
-                   type=_float_at_least(0.0, strict=True))
-    p.add_argument("--lr-min", type=_float_at_least(0.0))
-    p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=_int_at_least(1))
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
+    p.add_argument("--lr-min", type=float)
+    p.add_argument("--iters", dest="max_iters", metavar="ITERS", type=int)
     p.add_argument("--lambda-pose", dest="acce_pose", metavar="LAMBDA_POSE",
-                   type=_float_at_least(0.0), help="joint-rotation acceleration weight")
+                   type=float, help="joint-rotation acceleration weight")
     p.add_argument("--lambda-orients", dest="acce_orients", metavar="LAMBDA_ORIENTS",
-                   type=_float_at_least(0.0), help="wrist-orientation acceleration weight")
+                   type=float, help="wrist-orientation acceleration weight")
     p.add_argument("--lambda-position", dest="acce_position", metavar="LAMBDA_POSITION",
-                   type=_float_at_least(0.0), help="wrist-position acceleration weight")
+                   type=float, help="wrist-position acceleration weight")
     p.add_argument("--lambda-2d", dest="reprojection", metavar="LAMBDA_2D",
-                   type=_float_at_least(0.0), help="reprojection weight")
-    p.add_argument("--weight-decay", type=_float_at_least(0.0))
+                   type=float, help="reprojection weight")
+    p.add_argument("--weight-decay", type=float)
     p.add_argument("--adam-beta1", type=float)
     p.add_argument("--adam-beta2", type=float)
-    p.add_argument("--adam-eps", type=_float_at_least(0.0, strict=True))
+    p.add_argument("--adam-eps", type=float)
     p.add_argument("--optimize-shape", action="store_true",
                    help="let the shared shape coefficients move too")
     p.add_argument("--norm", dest="reprojection_norm", choices=REPROJECTION_NORMS)
@@ -241,16 +214,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("perturb", help="add noise to camera translations")
     p.add_argument("input", help="sequence file to read")
     p.add_argument("output", help="sequence file to write")
-    p.add_argument("--range", type=_float_at_least(0.0), default=0.5,
+    p.add_argument("--range", type=float, default=0.5,
                    help="uniform noise half-width in meters")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--frames", type=_int_at_least(MIN_FRAMES), default=5)
-    p.add_argument("--views", type=_int_at_least(1), default=2)
-    p.add_argument("--seeds", type=_int_at_least(1), default=100)
-    p.add_argument("--tolerance", type=_float_at_least(0.0, strict=True), default=1e-4)
+    p.add_argument("--frames", type=int, default=5)
+    p.add_argument("--views", type=int, default=2)
+    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -269,7 +242,7 @@ def main(argv=None) -> int:
     except (DegenerateObservationError, DivergedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SchemaError, SpecError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
+from . import autodiff as ad
 from . import camera as cam
 from .errors import ModelFileError, SchemaError
 from .hand_model import NUM_ARTICULATED, HandSkeleton, load_skeleton, skeleton_from_dict
@@ -25,6 +26,10 @@ from .objective import SequenceObservation, TrajectoryParams
 from .synth import MotionSpec, NoiseSpec
 
 SEQUENCE_SCHEMA_VERSION = "1"
+
+# The JSON types a scalar field of each type takes; an int field also takes a
+# float with an integral value.
+_JSON_TYPES = {float: (float, int), int: (int,), str: (str,)}
 
 # The text of each scalar of the arrays written one outer row at a time.
 _JSON_TEXT = {np.dtype(float): float.__repr__, np.dtype(bool): ("false", "true").__getitem__}
@@ -156,9 +161,11 @@ def _convert(tp, value, where: str):
     if is_dataclass(tp):
         return record_from_dict(tp, value, where)
     if tp is np.ndarray:
-        return np.asarray(value, dtype=float)
-    if tp is str and not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
+        return ad.readonly(value)
+    if tp is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) not in _JSON_TYPES[tp]:
+        raise TypeError(f"expected {_JSON_TYPES[tp][0].__name__}, got {value!r}")
     return tp(value)
 
 
@@ -200,13 +207,12 @@ def trajectory_to_dict(traj: TrajectoryParams) -> dict:
 
 
 def trajectory_from_dict(d: dict, where: str) -> TrajectoryParams:
+    shape, orients, positions, rots = (
+        _need(d, f.name, where) for f in fields(TrajectoryParams)
+    )
     with _at(where):
-        shape, orients, positions, rots = (
-            np.asarray(_need(d, f.name, where), dtype=float)
-            for f in fields(TrajectoryParams)
-        )
         return TrajectoryParams(
-            shape, orients, positions, rots.reshape(-1, NUM_ARTICULATED, 3)
+            shape, orients, positions, np.reshape(rots, (-1, NUM_ARTICULATED, 3))
         )
 
 
@@ -289,15 +295,10 @@ def sequence_from_dict(d: dict, where: str = "sequence") -> SequenceFile:
     rig = rig_from_dict(_need(d, "rig", where), f"{where}.rig")
     init = trajectory_from_dict(_need(d, "init", where), f"{where}.init")
     obs_d = _need(d, "observations", where)
-    with _at(f"{where}.observations"):
+    here = f"{where}.observations"
+    with _at(here):
         observations = SequenceObservation(
-            landmarks_2d=np.asarray(
-                _need(obs_d, "landmarks_2d", f"{where}.observations"), dtype=float
-            ),
-            visibility=np.asarray(
-                _need(obs_d, "visibility", f"{where}.observations"), dtype=bool
-            ),
-            rig=rig,
+            _need(obs_d, "landmarks_2d", here), _need(obs_d, "visibility", here), rig
         )
     gt_d = d.get("ground_truth")
     ground_truth = (

@@ -289,18 +289,14 @@ def _fk_vjp(g, node):
 def skeleton_from_dict(d: dict) -> HandSkeleton:
     if not isinstance(d, dict):
         raise ModelFileError("model must be a JSON object")
-    for key in ("version", "parents", "rest_offsets", "shape_basis"):
+    keys = ("version", "parents", "rest_offsets", "shape_basis")
+    for key in keys:
         if key not in d:
             raise ModelFileError(f"model is missing field '{key}'")
     if d["version"] != MODEL_SCHEMA_VERSION:
         raise ModelFileError(f"unsupported model version {d['version']!r}")
     try:
-        return HandSkeleton(
-            version=str(d["version"]),
-            parents=np.asarray(d["parents"], dtype=int),
-            rest_offsets=np.asarray(d["rest_offsets"], dtype=float),
-            shape_basis=np.asarray(d["shape_basis"], dtype=float),
-        )
+        return HandSkeleton(**{key: d[key] for key in keys})
     except (ValueError, TypeError, OverflowError) as e:
         raise ModelFileError(str(e)) from e
 

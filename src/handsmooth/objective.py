@@ -12,7 +12,7 @@ objective maps a (P,) vector to a scalar and a (B, P) block of vectors to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -48,11 +48,9 @@ class LossWeights:
     reprojection: float = 1.0
 
     def __post_init__(self):
-        vals = (self.acce_pose, self.acce_orients, self.acce_position, self.reprojection)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("loss weights must be finite")
-        if any(v < 0 for v in vals):
-            raise ValueError("loss weights must be >= 0")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < np.inf:
+                raise ValueError(f"{f.name} must be finite and >= 0")
 
 
 def _split_flat(vec, num_frames: int):

@@ -56,12 +56,12 @@ class SmootherConfig:
             raise ValueError("learning_rate must be positive")
         if not (0 <= self.lr_min <= self.learning_rate):
             raise ValueError("lr_min must be in [0, learning_rate]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam betas must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
+        if not (self.adam_eps > 0 and np.isfinite(self.adam_eps)):
+            raise ValueError("adam_eps must be finite and positive")
         if self.weight_decay < 0 or not np.isfinite(self.weight_decay):
             raise ValueError("weight_decay must be >= 0")
         if self.reprojection_norm not in REPROJECTION_NORMS:

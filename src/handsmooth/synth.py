@@ -424,6 +424,8 @@ def random_problem(num_frames: int, num_views: int, seed: int):
 def gradient_sweep(num_frames: int, num_views: int, count: int):
     """check_gradient over ``count`` seeded random instances; returns the
     per-instance max relative errors."""
+    if count < 1:
+        raise ValueError("count of seeds must be >= 1")
     errs = []
     for seed in range(count):
         traj, obs, skeleton = random_problem(num_frames, num_views, seed)

@@ -110,11 +110,10 @@ class TestGenerate:
 
     def test_negative_seed_flag_exits_1(self, specs, tmp_path, capsys):
         motion, noise = specs
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", str(motion), str(noise), str(tmp_path / "out.json"),
-                  "--seed", "-1"])
-        assert exc.value.code == 1
-        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+        out = tmp_path / "out.json"
+        assert main(["generate", str(motion), str(noise), str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
 
 
 class TestSmooth:
@@ -154,13 +153,12 @@ class TestSmooth:
         main(["smooth", src, str(b), "--iters", "5"])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_iters_is_a_usage_error(self, fixtures_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                ["smooth", str(fixtures_dir / "sequence_small.json"),
-                 str(tmp_path / "o.json"), "--iters", "0"]
-            )
-        assert exc.value.code == 1
+    def test_zero_iters_is_a_usage_error(self, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        src = str(fixtures_dir / "sequence_small.json")
+        assert main(["smooth", src, str(out), "--iters", "0"]) == 1
+        assert capsys.readouterr().err == "error: max_iters must be an integer >= 1\n"
+        assert not out.exists()
 
     def test_divergence_exits_2_and_flushes_report(
         self, fixtures_dir, tmp_path, capsys
@@ -322,10 +320,10 @@ class TestPerturb:
 
     def test_negative_seed_flag_exits_1(self, fixtures_dir, tmp_path, capsys):
         src = str(fixtures_dir / "sequence_small.json")
-        with pytest.raises(SystemExit) as exc:
-            main(["perturb", src, str(tmp_path / "out.json"), "--seed", "-1"])
-        assert exc.value.code == 1
-        assert "argument --seed: must be >= 0" in capsys.readouterr().err
+        out = tmp_path / "out.json"
+        assert main(["perturb", src, str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed: ")
+        assert not out.exists()
 
     def test_overflowing_range_exits_1_without_output(self, fixtures_dir, tmp_path, capsys):
         # finite, but the sampled width 2 * range is not
@@ -359,10 +357,58 @@ class TestGradcheck:
         assert code == 0
         assert "gradcheck: 3/3 instances within" in capsys.readouterr().out
 
-    def test_too_few_frames_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", "--frames", "2"])
-        assert exc.value.code == 1
+    def test_too_few_frames_is_a_usage_error(self, capsys):
+        assert main(["gradcheck", "--frames", "2"]) == 1
+        assert capsys.readouterr().err == "error: num_frames must be >= 3\n"
+
+
+# Each range-checked flag with a value out of its range, and the setting the
+# error names: a SmootherConfig or LossWeights field for smooth, else the
+# record or function argument behind the flag.
+OUT_OF_RANGE = [
+    ("generate", "--seed", "-1", "seed"),
+    ("smooth", "--lr", "0", "learning_rate"),
+    ("smooth", "--lr-min", "-1", "lr_min"),
+    ("smooth", "--iters", "0", "max_iters"),
+    ("smooth", "--lambda-pose", "-1", "acce_pose"),
+    ("smooth", "--lambda-orients", "nan", "acce_orients"),
+    ("smooth", "--lambda-position", "inf", "acce_position"),
+    ("smooth", "--lambda-2d", "-1", "reprojection"),
+    ("smooth", "--weight-decay", "-1", "weight_decay"),
+    ("smooth", "--adam-eps", "0", "adam_eps"),
+    ("perturb", "--range", "-1", "noise_range"),
+    ("perturb", "--seed", "-1", "seed"),
+    ("gradcheck", "--frames", "2", "num_frames"),
+    ("gradcheck", "--views", "0", "num_views"),
+    ("gradcheck", "--seeds", "0", "count of seeds"),
+    ("gradcheck", "--tolerance", "0", "tolerance"),
+]
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "command, flag, value, setting", OUT_OF_RANGE,
+        ids=[f"{c}{f}" for c, f, _, _ in OUT_OF_RANGE],
+    )
+    def test_out_of_range_flag_exits_1_naming_its_setting(
+        self, fixtures_dir, tmp_path, capsys, command, flag, value, setting
+    ):
+        out = tmp_path / "out.json"
+        # smooth checks its flags before it reads the input, so a missing
+        # input still reports the flag
+        seq = fixtures_dir / "sequence_small.json"
+        if command == "smooth":
+            seq = tmp_path / "missing.json"
+        operands = {
+            "generate": [fixtures_dir / "motion_demo.json", fixtures_dir / "noise_demo.json", out],
+            "smooth": [seq, out],
+            "perturb": [seq, out],
+            "gradcheck": [],
+        }[command]
+        assert main([command, *map(str, operands), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting in err
+        assert not out.exists()
 
 
 class TestParser:

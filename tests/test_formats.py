@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import handsmooth as hs
-from handsmooth.cli import build_parser
+from handsmooth.cli import build_parser, main
 from handsmooth.errors import SchemaError, SpecError
 from handsmooth.formats import (
     SEQUENCE_SCHEMA_VERSION,
@@ -22,7 +22,7 @@ from handsmooth.formats import (
     rig_to_dict,
     sequence_from_dict,
 )
-from handsmooth.hand_model import DEFAULT_MODEL
+from handsmooth.hand_model import DEFAULT_MODEL, default_model_dict
 from handsmooth.metrics import MetricReport
 from handsmooth.smoother import LossEntry
 
@@ -356,6 +356,83 @@ class TestSequenceSchemaErrors:
         path.write_text(json.dumps({"version": "1"}) + "\n")
         with pytest.raises(SchemaError, match="bad_sequence"):
             hs.load_sequence(path)
+
+
+def view0(d, part):
+    return d["rig"]["views"][0][part]
+
+
+def set_inline_parent(d):
+    model = default_model_dict()
+    model["parents"][2] = 1.6  # joint 2's parent is 1, which truncation would keep
+    d["skeleton"] = {"inline": model}
+
+
+def set_rotation_strings(d):
+    extr = view0(d, "extrinsics")
+    extr["rotation"] = [[repr(x) for x in row] for row in extr["rotation"]]
+
+
+def set_first(name, value):
+    """Set the first scalar of observations' array ``name`` to ``value``."""
+    def mutate(d):
+        a = d["observations"][name]
+        while isinstance(a[0], list):
+            a = a[0]
+        a[0] = value
+    return mutate
+
+
+# Values numpy or int() would cast without a word. Each case: the file it
+# mutates, the mutation, and the dotted path its error must start with.
+COERCIONS = {
+    "visibility-false-string": ("sequence_small.json", set_first("visibility", "false"),
+                                "observations"),
+    "visibility-half": ("sequence_small.json", set_first("visibility", 0.5), "observations"),
+    "visibility-one": ("sequence_small.json", set_first("visibility", 1), "observations"),
+    "landmark-string": ("sequence_small.json", set_first("landmarks_2d", "12.5"),
+                        "observations"),
+    "fx-string": ("sequence_small.json", lambda d: view0(d, "intrinsics").update(fx="350"),
+                  "rig.views[0].intrinsics.fx"),
+    "fx-true": ("sequence_small.json", lambda d: view0(d, "intrinsics").update(fx=True),
+                "rig.views[0].intrinsics.fx"),
+    # a lone true among numbers still reads as 1 (numpy promotes it); all true does not
+    "positions-true": (
+        "sequence_small.json",
+        lambda d: d["init"].update(positions=[[True] * 3 for _ in d["init"]["positions"]]),
+        "init"),
+    "width-fractional": ("sequence_small.json",
+                         lambda d: view0(d, "intrinsics").update(width=640.9),
+                         "rig.views[0].intrinsics.width"),
+    "noise-seed-fractional": ("noise_demo.json", lambda d: d.update(seed=1.9), "seed"),
+    "sigma-pixel-string": ("noise_demo.json", lambda d: d.update(sigma_pixel="2"),
+                           "sigma_pixel"),
+    "inline-parent-fractional": ("sequence_small.json", set_inline_parent, "skeleton.inline"),
+    "rotation-strings": ("sequence_small.json", set_rotation_strings,
+                         "rig.views[0].extrinsics.rotation"),
+}
+
+
+class TestNoSilentCoercion:
+    @pytest.mark.parametrize("name, mutate, where", COERCIONS.values(), ids=COERCIONS)
+    def test_value_numpy_would_cast_is_a_schema_error(
+        self, fixtures_dir, tmp_path, capsys, name, mutate, where
+    ):
+        d = read_json(fixtures_dir / name)
+        mutate(d)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(d))
+        load = hs.load_sequence if name.startswith("sequence") else hs.load_noise_spec
+        with pytest.raises(SchemaError, match="^" + re.escape(f"{bad}.{where}: ")):
+            load(bad)
+        out = tmp_path / "out.json"
+        if load is hs.load_sequence:
+            argv = ["smooth", str(bad), str(out), "--iters", "1"]
+        else:
+            argv = ["generate", str(fixtures_dir / "motion_demo.json"), str(bad), str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}.{where}: ")
+        assert not out.exists()
 
 
 # Values set in place of each mutated node; "1e400" is written as that JSON

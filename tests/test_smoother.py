@@ -8,11 +8,19 @@ import pytest
 
 import handsmooth as hs
 from handsmooth import smoother
+from handsmooth.cli import build_parser
 from handsmooth.errors import DivergedError
 from handsmooth.formats import record_from_dict
 from handsmooth.smoother import CSV_COLUMNS, AdamWState
 
 from conftest import constant_velocity_motion, exact_sequence
+
+
+def run_command(argv):
+    """Run one CLI command, letting its exception out instead of mapping it
+    to an exit code."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 class TestCosineSchedule:
@@ -109,6 +117,22 @@ class TestConfigValidation:
             hs.SmootherConfig(weight_decay=-1.0)
         with pytest.raises(ValueError):
             hs.SmootherConfig(reprojection_norm="manhattan")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: hs.SmootherConfig(adam_eps=float("nan")),
+            lambda: hs.SmootherConfig(adam_eps=float("inf")),
+            lambda: hs.SmootherConfig(max_iters=2.5),
+            lambda: hs.gradient_sweep(5, 2, 0),
+            lambda: run_command(["gradcheck", "--tolerance", "nan"]),
+        ],
+        ids=["adam_eps-nan", "adam_eps-inf", "max_iters-2.5", "sweep-count-0",
+             "gradcheck-tolerance-nan"],
+    )
+    def test_rejects_setting_the_records_check(self, make):
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestSmoothLoop:

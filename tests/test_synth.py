@@ -103,7 +103,7 @@ class TestMotionSpec:
     def test_from_dict_rejects_garbage(self):
         with pytest.raises(SchemaError, match="^motion: missing key 'num_frames'$"):
             record_from_dict(hs.MotionSpec, {"fps": 30.0}, "motion")
-        with pytest.raises(SchemaError, match="^motion.num_frames: invalid literal"):
+        with pytest.raises(SchemaError, match="^motion.num_frames: expected int, got 'many'$"):
             record_from_dict(hs.MotionSpec, {"num_frames": "many", "fps": 30.0}, "motion")
 
     def test_wrist_must_stay_visible(self):
@@ -149,7 +149,7 @@ class TestNoiseSpec:
         assert record_from_dict(hs.NoiseSpec, record_to_dict(spec), "noise") == spec
 
     def test_from_dict_rejects_garbage(self):
-        with pytest.raises(SchemaError, match="^noise.sigma_pixel: could not convert"):
+        with pytest.raises(SchemaError, match="^noise.sigma_pixel: expected float, got 'large'$"):
             record_from_dict(hs.NoiseSpec, {"sigma_pixel": "large"}, "noise")
 
 
