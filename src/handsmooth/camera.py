@@ -159,15 +159,20 @@ def project_points_masked(points, view):
     return tuple(plane[0] for plane in project_views(points, CameraRig(views=(view,)))[:3])
 
 
+def check_noise_range(noise_range: float) -> None:
+    """Raise ValueError unless ``perturb_extrinsics`` can sample this range."""
+    if not 0.0 <= noise_range <= _MAX_NOISE_RANGE:
+        raise ValueError(
+            f"noise_range must be in [0, {_MAX_NOISE_RANGE:.6g}], got {noise_range!r}"
+        )
+
+
 def perturb_extrinsics(
     extr: Extrinsics, rng: np.random.Generator, noise_range: float = 0.5
 ) -> Extrinsics:
     """Add per-component Uniform(-noise_range, noise_range) meters to the
     translation; the rotation is untouched. Deterministic given the rng state.
     """
-    if not 0.0 <= noise_range <= _MAX_NOISE_RANGE:
-        raise ValueError(
-            f"noise_range must be in [0, {_MAX_NOISE_RANGE:.6g}], got {noise_range!r}"
-        )
+    check_noise_range(noise_range)
     delta = rng.uniform(-noise_range, noise_range, size=3)
     return Extrinsics(extr.rotation, extr.translation + delta)

@@ -127,11 +127,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    seq = formats.load_sequence(args.input)
     try:
         rng = np.random.default_rng(args.seed)
     except ValueError as e:
         raise ValueError(f"seed: {e}") from None
+    cam.check_noise_range(args.range)  # before the input is read, as smooth does
+    seq = formats.load_sequence(args.input)
     views = tuple(
         (intr, cam.perturb_extrinsics(extr, rng, args.range))
         for intr, extr in seq.rig.views

@@ -228,18 +228,24 @@ def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations)
     aa = np.concatenate([o.reshape(lead + (1, 3)), j.reshape(lead + (NUM_ARTICULATED, 3))], axis=-2)
     r, rodrigues = _rodrigues(aa)  # (..., N, 16, 3, 3)
     off = scales.reshape(lead[:-1] + (NUM_JOINTS, 1)) * skeleton.rest_offsets
+    # levels[d]: the rotations of the depth-d joints, kept for the walk back;
     # parents[d]: the world rotation of level d's parents; the base joints share the wrist's
+    levels = [r[..., level_slots, :, :] for level_slots in skeleton.slots.T]
     parents = [r[..., :1, :, :]]
-    for level_slots in skeleton.slots.T:
-        parents.append(parents[-1] @ r[..., level_slots, :, :])
+    for level in levels:
+        parents.append(parents[-1] @ level)
     steps = [off[..., c, :].reshape(lead[:-1] + (1, NUM_FINGERS, 1, 3)) for c in skeleton.chains.T]
     joints = np.empty(lead + (NUM_JOINTS, 3))
     joints[..., 0, :] = p
     pos = p[..., None, :]
     for level, parent, step in zip(skeleton.chains.T, parents, steps):
-        pos = pos + (parent * step).sum(axis=-1)
+        # parent @ step as numpy's sum runs it: from +0.0, in index order
+        move = 0.0 + parent[..., 0] * step[..., 0]
+        move += parent[..., 1] * step[..., 1]
+        move += parent[..., 2] * step[..., 2]
+        pos = pos + move
         joints[..., level, :] = pos
-    ctx = (skeleton, scales, aa, r, rodrigues, parents, steps)
+    ctx = (skeleton, scales, aa, r, rodrigues, levels, parents, steps)
     return ad._record(joints, _fk_vjp, (beta, orients, positions, joint_rotations), ctx)
 
 
@@ -248,7 +254,7 @@ def _fk_vjp(g, node):
     ancestor unchanged, its parent's rotation through its step, and its
     scaled offset through its parent's rotation. Then back through Rodrigues
     to the axis-angles, and through the offsets and the scales to beta."""
-    skeleton, scales, aa, r, rodrigues, parents, steps = node.ctx
+    skeleton, scales, aa, r, rodrigues, levels, parents, steps = node.ctx
     chains, slots = skeleton.chains, skeleton.slots
     live_beta, live_orients, live_positions, live_rotations = (
         isinstance(x, ad.Tensor) for x in node.inputs
@@ -269,12 +275,14 @@ def _fk_vjp(g, node):
         for depth in reversed(range(CHAIN_LENGTH)):
             g_parent = g_pos[..., depth, :, None] * steps[depth]
             if depth < CHAIN_LENGTH - 1:  # g_rot: the gradient of this level's rotations
-                child = r[..., slots[:, depth], :, :]
-                g_parent = g_parent + g_rot @ np.swapaxes(child, -1, -2)
-                g_r[..., slots[:, depth], :, :] = np.swapaxes(parents[depth], -1, -2) @ g_rot
+                # contiguous transposes keep matmul on its fast path, with the same bits
+                child_t = np.ascontiguousarray(np.swapaxes(levels[depth], -1, -2))
+                parent_t = np.ascontiguousarray(np.swapaxes(parents[depth], -1, -2))
+                g_parent = g_parent + g_rot @ child_t
+                g_r[..., slots[:, depth], :, :] = parent_t @ g_rot
             g_rot = g_parent
         g_r[..., 0, :, :] = g_rot.sum(axis=-3)
-        del g_pos, g_parent, g_rot, child  # keeps the peak at one node's temporaries
+        del g_pos, g_parent, g_rot, child_t, parent_t  # keeps the peak at one node's temporaries
         g_aa = _rodrigues_grad(g_r, aa, *rodrigues)
         if live_orients:
             grads[1] = g_aa[..., 0, :].reshape(node.inputs[1].value.shape)

@@ -394,11 +394,9 @@ class TestFlagRanges:
         self, fixtures_dir, tmp_path, capsys, command, flag, value, setting
     ):
         out = tmp_path / "out.json"
-        # smooth checks its flags before it reads the input, so a missing
-        # input still reports the flag
-        seq = fixtures_dir / "sequence_small.json"
-        if command == "smooth":
-            seq = tmp_path / "missing.json"
+        # smooth and perturb check their flags before they read the input, so
+        # a missing input still reports the flag
+        seq = tmp_path / "missing.json"
         operands = {
             "generate": [fixtures_dir / "motion_demo.json", fixtures_dir / "noise_demo.json", out],
             "smooth": [seq, out],
@@ -408,6 +406,7 @@ class TestFlagRanges:
         assert main([command, *map(str, operands), flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and setting in err
+        assert "missing.json" not in err
         assert not out.exists()
 
 

@@ -333,7 +333,30 @@ class TestFusedFKBitwise:
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_glue(self, skeleton, seed, batched, rotations, live_shape):
-        inputs = list(fk_inputs(6, seed, batched))
+        inputs = fk_inputs(6, seed, batched)
+        grad = self.assert_matches_glue(skeleton, inputs, seed, rotations, live_shape)
+        assert np.all(grad[:inputs[0].size] != 0.0) == live_shape
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_signed_zeros_match_glue(self, skeleton, batched):
+        """Each level's three products all -0.0, which random inputs never
+        make: the axis-angles are +-0.0, so every rotation is the identity,
+        and the steps are <= 0 with -0.0 for zero. Only a sum from +0.0
+        rounds them as numpy's does, seen through the wrist's -0.0."""
+        skeleton = hs.HandSkeleton(skeleton.version, skeleton.parents,
+                                   -np.abs(skeleton.rest_offsets), skeleton.shape_basis)
+        beta, orients, positions, rotations = fk_inputs(6, 0, batched)
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], size=orients.size + rotations.size)
+        zeros = np.copysign(0.0, signs)
+        inputs = (beta, zeros[:orients.size].reshape(orients.shape), np.full(positions.shape, -0.0),
+                  zeros[orients.size:].reshape(rotations.shape))
+        for live_shape in (False, True):
+            self.assert_matches_glue(skeleton, inputs, 0, "(N, 15, 3)", live_shape)
+
+    @staticmethod
+    def assert_matches_glue(skeleton, inputs, seed, rotations, live_shape):
+        """Assert that the joints, the loss and the gradient of a weighted
+        sum of them are the glue's bytes; return the gradient."""
         lead = inputs[1].shape[:-1]
         shapes = [a.shape for a in inputs]
         shapes[3] = lead + ((45,) if rotations == "(N, 45)" else (15, 3))
@@ -354,7 +377,7 @@ class TestFusedFKBitwise:
         glue_loss, glue_grad = ad.record_and_backprop(objective(fk_glue, glue_shapes), flat)
         assert np.float64(loss).tobytes() == np.float64(glue_loss).tobytes()
         assert grad.tobytes() == glue_grad.tobytes()
-        assert np.all(grad[:inputs[0].size] != 0.0) == live_shape
+        return grad
 
     def test_four_leaves_record_one_node(self, skeleton):
         tape = ad.Tape()

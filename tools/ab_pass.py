@@ -20,8 +20,10 @@ Each of 15 rounds times A, B, B, A (A is the parent), each the median of 5
 calls, and takes the ratio parent / child of the two sums, so a ratio above
 1 means the child is faster. Drift of the machine's speed within a round
 cancels. The tool prints whether the child's loss and gradient bytes equal
-the parent's on the accept and wide passes, then the median, min and max of
-the per-round ratios, and writes nothing.
+the parent's on the accept and wide passes, and whether its tape-free
+objective values equal the parent's on 32 rows near ``random_problem(5, 2,
+0)``, the route ``check_gradient`` takes. Then it prints the median, min and
+max of the per-round ratios, and writes nothing.
 """
 
 import gc
@@ -73,6 +75,15 @@ def gradcheck_pass(hs, seed):
     return lambda: hs.autodiff.check_gradient(objective, flat)
 
 
+def tape_free_rows(hs, seed):
+    """The bytes of the plain objective on a 32-row block near
+    random_problem(5, 2, seed), as check_gradient calls it."""
+    traj, obs, skeleton = hs.random_problem(5, 2, seed)
+    flat = traj.to_flat()
+    block = flat + np.random.default_rng(seed).normal(0.0, 1e-3, (32, flat.size))
+    return hs.autodiff.value_of(hs.make_flat_objective(obs, skeleton)(block)).tobytes()
+
+
 def median_time(fn, reps):
     gc.collect()
     times = []
@@ -108,6 +119,8 @@ def main(parent_checkout):
         for name, (a, b) in calls.items():
             same = pass_bytes(*a()) == pass_bytes(*b())
             print(f"{name:10s} loss and gradient bytes equal the parent's: {same}")
+        same = tape_free_rows(parent, 0) == tape_free_rows(child, 0)
+        print(f"{'gradcheck':10s} tape-free row bytes equal the parent's: {same}")
         ratios = {name: [] for name in ("accept", "wide", "gradcheck")}
         for r in range(ROUNDS):
             calls["gradcheck"] = [gradcheck_pass(hs, r) for hs in (parent, child)]
