@@ -221,10 +221,29 @@ def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations)
     wrist and joint axis-angles, and then walks the chains of
     ``skeleton.chains`` by depth, one step per level over all five fingers,
     after smplx's ``batch_rigid_transform``.
+
+    A call on plain values (no Tensor) with batch axes, whose batch rows all
+    hold the same shape vector byte for byte, runs FK once per distinct
+    frame instead. Frames are keyed by the bytes of their 51 values, so
+    -0.0 and +0.0 differ; the bone scales are taken once, and the joints are
+    gathered back into the batch. FK is per frame, so every joint is bitwise
+    what the whole batch computes. The blocks of ``check_gradient`` that
+    step a frame coordinate take this route.
     """
-    scales = bone_scales(skeleton, beta)
     o, p, j = (ad.value_of(x) for x in (orients, positions, joint_rotations))
     lead = o.shape[:-1]  # (..., N)
+    plain = not any(isinstance(x, ad.Tensor) for x in (beta, orients, positions, joint_rotations))
+    if plain and len(lead) > 1 and np.shape(beta) == lead[:-1] + (NUM_SHAPE_PARAMS,):
+        rows = ad.value_of(beta).reshape(-1, NUM_SHAPE_PARAMS)
+        if (rows.view(np.uint64) == rows[0].view(np.uint64)).all():
+            frames = np.concatenate([o, p, j.reshape(lead + (-1,))], axis=-1)
+            frames = frames.reshape(-1, frames.shape[-1])
+            keys = frames.view(np.dtype((np.void, frames.itemsize * frames.shape[-1])))[:, 0]
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            distinct = frames[first]
+            joints = fk_joints(skeleton, rows[0], distinct[:, :3], distinct[:, 3:6], distinct[:, 6:])
+            return joints[inverse].reshape(lead + (NUM_JOINTS, 3))
+    scales = bone_scales(skeleton, beta)
     aa = np.concatenate([o.reshape(lead + (1, 3)), j.reshape(lead + (NUM_ARTICULATED, 3))], axis=-2)
     r, rodrigues = _rodrigues(aa)  # (..., N, 16, 3, 3)
     off = scales.reshape(lead[:-1] + (NUM_JOINTS, 1)) * skeleton.rest_offsets
@@ -259,8 +278,11 @@ def _fk_vjp(g, node):
     live_beta, live_orients, live_positions, live_rotations = (
         isinstance(x, ad.Tensor) for x in node.inputs
     )
-    # (..., N, 5, 4, 3): each level's position gradient plus its descendants'
-    g_pos = np.cumsum(g[..., chains[:, ::-1], :], axis=-2)[..., ::-1, :]
+    # (..., N, 5, 4, 3): each level's position gradient plus its descendants',
+    # summed from the tip
+    g_pos = g[..., chains, :]
+    for depth in reversed(range(CHAIN_LENGTH - 1)):
+        g_pos[..., depth, :] += g_pos[..., depth + 1, :]
     grads = [None, None, g.sum(axis=-2) if live_positions else None, None]
     if live_beta:
         g_off = np.zeros(scales.shape + (3,))

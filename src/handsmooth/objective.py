@@ -275,7 +275,7 @@ def _reprojection_vjp(g, node):
     each view's world-to-camera rotation."""
     obs, count, (du, dv, ru, rv, mask), (x, y, z) = node.ctx
     views = obs.rig.views
-    fx, fy = (np.array([[[getattr(intr, k)]] for intr, _ in views]) for k in ("fx", "fy"))
+    fx, fy = (f[:, :, None] for f in obs.rig._stacked[2:4])  # (V, 1, 1)
     w = (np.reshape(g, count.shape) / count)[:, None] * mask
     # (V, 3, B, N * 21) planes: the gradient of each view's camera-frame
     # points; z is 1 behind the camera, where the mask zeroes gu and gv

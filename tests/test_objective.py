@@ -11,7 +11,8 @@ import handsmooth as hs
 import handsmooth.autodiff as ad
 from handsmooth.errors import DegenerateObservationError
 from handsmooth.formats import read_json, trajectory_from_dict, trajectory_to_dict
-from handsmooth.objective import TERMS, acceleration_loss
+from handsmooth.hand_model import NUM_SHAPE_PARAMS
+from handsmooth.objective import FRAME_PARAMS, TERMS, acceleration_loss
 
 from conftest import constant_velocity_motion, exact_sequence, load_gen_fixtures
 
@@ -298,6 +299,20 @@ def block_around(flat, seed):
     return block
 
 
+def frame_block_around(flat, seed):
+    """Eight points near ``flat`` that share its shape block, so that FK takes
+    its distinct-frame route: itself, six single frame-coordinate steps like
+    check_gradient's, and a copy of frame 1's values into frame 3."""
+    rng = np.random.default_rng(seed)
+    block = np.tile(flat, (8, 1))
+    coords = NUM_SHAPE_PARAMS + rng.choice(flat.size - NUM_SHAPE_PARAMS, 3, replace=False)
+    for row, (i, step) in enumerate(((i, s) for i in coords for s in (1e-6, -1e-6)), 1):
+        block[row, i] += step
+    frames = block[7, NUM_SHAPE_PARAMS:].reshape(-1, FRAME_PARAMS)
+    frames[3] = frames[1]
+    return block
+
+
 class TestBatchAxis:
     @pytest.mark.parametrize("seed, hidden, weights, norm", BLOCK_CASES)
     def test_block_rows_equal_scalar_calls_bitwise(self, seed, hidden, weights, norm):
@@ -307,11 +322,11 @@ class TestBatchAxis:
             visibility[:, hidden] = False
             obs = replace(obs, visibility=visibility)
         objective = hs.make_flat_objective(obs, skeleton, weights, norm)
-        block = block_around(traj.to_flat(), seed)
-        values = objective(block)
-        assert values.shape == (len(block),)
-        for i, row in enumerate(block):
-            assert np.asarray(objective(row)).tobytes() == values[i].tobytes(), i
+        for block in (block_around(traj.to_flat(), seed), frame_block_around(traj.to_flat(), seed)):
+            values = objective(block)
+            assert values.shape == (len(block),)
+            for i, row in enumerate(block):
+                assert np.asarray(objective(row)).tobytes() == values[i].tobytes(), i
 
     def test_terms_out_is_filled_by_scalar_passes_only(self, skeleton):
         traj, obs, _ = hs.random_problem(5, 2, 0)
