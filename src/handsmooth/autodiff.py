@@ -20,16 +20,17 @@ to the same functions.
 A fused op is the same pattern one level up: a function in another module
 that evaluates a whole composition with numpy on plain values and makes one
 ``_record`` call with a hand-written module-level VJP, instead of recording
-each step. The pipeline has four: ``hand_model.rotation_matrices``
-(Rodrigues), ``hand_model.fk_joints`` (bone scales, Rodrigues and the chain
-walk of forward kinematics, one node), ``objective._acceleration`` (the
-weighted second-difference terms, one node for all three; on one series it
-is ``objective.acceleration_loss``) and ``objective._reprojection`` (all
-views projected by one product in ``camera.project_views``, then the masked
-residual). Their ``ctx`` holds only forward intermediates, such as the
-camera-frame points the reprojection VJP reads instead of projecting again;
-anything the VJP alone needs is computed in the VJP, so the tape-free route
-pays nothing for it.
+each step. The pipeline records three: ``hand_model.fk_joints`` (bone
+scales, Rodrigues and the chain walk of forward kinematics, one node),
+``objective._acceleration`` (the weighted second-difference terms, one node
+for all three; on one series it is ``objective.acceleration_loss``) and
+``objective._reprojection`` (all views projected by one product in
+``camera.project_views``, then the masked residual).
+``hand_model.rotation_matrices`` (Rodrigues alone) is a fused op too, but
+no pipeline pass records it. A fused op's ``ctx`` holds only forward
+intermediates, such as the camera-frame points the reprojection VJP reads
+instead of projecting again; anything the VJP alone needs is computed in the
+VJP, so the tape-free route pays nothing for it.
 
 ``vjp(g, node)`` returns one gradient per operand, in operand order, given
 the gradient ``g`` of the node's value, or ``None`` for an operand that is
@@ -60,10 +61,12 @@ ABS_SMOOTH_DELTA = 1e-8
 
 # Perturbed points per tape-free objective call in check_gradient. On a
 # 5-frame, 2-view problem (P = 265) a 32-row block is 17 calls instead of 530.
-# The peak that tracemalloc traced above its count at the call, over one
-# check_gradient on random_problem(5, 2, 0), was 0.93 MB with 32 rows, 1.85 MB
-# with 64 and 14.9 MB with one 530-row block, and no block size was more than
-# 10 % faster.
+# Over random_problem(5, 2, s), s = 0..19, on a 2-core Xeon, a check took
+# 10.4-12.3 ms with 32 rows, 8.3-8.8 with 64, 7.9-10.6 with 128, 11.1-11.2 with
+# 265 and 17.5 with 530 (medians of alternated sweeps); tracemalloc's peak over
+# one check on random_problem(5, 2, 0) was 0.93, 1.85, 3.68, 7.60 and 14.9 MB.
+# 64 rows raised the gradcheck benchmark's peak RSS from 41.9 to 42.7 MB with
+# no rate gain the benchmark could tell from noise, so the block stays at 32.
 FD_BLOCK = 32
 
 # The central-difference step of check_gradient.

@@ -135,11 +135,17 @@ def project_views(points, rig: CameraRig):
     One matrix product maps the points into all views, each entry equal to
     the view's own ``points @ rotation.T + translation``. The objective and
     the synthetic renderer both project through this function, so exact
-    observations reproduce bitwise under re-evaluation.
+    observations reproduce bitwise under re-evaluation. The product's
+    right operand is a contiguous (3, M) copy: OpenBLAS's SkylakeX kernel
+    rounds the last 4-7 columns of a transposed operand differently, so a
+    point's pixels would depend on how many points share the call. With the
+    copy, each point's planes are bitwise the same for any M >= 2 (one
+    point takes BLAS's matrix-vector product instead).
     """
     rotations, translations, fx, fy, cx, cy = rig._stacked
     p = ad.value_of(points)
-    cam = rotations @ p.reshape(-1, 3).T  # (3V, M): view v's frame in rows 3v to 3v + 2
+    # (3V, M): view v's frame in rows 3v to 3v + 2
+    cam = rotations @ np.ascontiguousarray(p.reshape(-1, 3).T)
     cam += translations
     x, y, z = cam.reshape(-1, 3, p.size // 3).swapaxes(0, 1)
     in_front = z > MIN_DEPTH

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -220,29 +221,11 @@ def fk_joints(skeleton: HandSkeleton, beta, orients, positions, joint_rotations)
     values it takes the bone scales, the scaled offsets, Rodrigues of the
     wrist and joint axis-angles, and then walks the chains of
     ``skeleton.chains`` by depth, one step per level over all five fingers,
-    after smplx's ``batch_rigid_transform``.
-
-    A call on plain values (no Tensor) with batch axes, whose batch rows all
-    hold the same shape vector byte for byte, runs FK once per distinct
-    frame instead. Frames are keyed by the bytes of their 51 values, so
-    -0.0 and +0.0 differ; the bone scales are taken once, and the joints are
-    gathered back into the batch. FK is per frame, so every joint is bitwise
-    what the whole batch computes. The blocks of ``check_gradient`` that
-    step a frame coordinate take this route.
+    after smplx's ``batch_rigid_transform``. FK is per frame: each frame's
+    joints are bitwise the same whatever other frames share the call.
     """
     o, p, j = (ad.value_of(x) for x in (orients, positions, joint_rotations))
     lead = o.shape[:-1]  # (..., N)
-    plain = not any(isinstance(x, ad.Tensor) for x in (beta, orients, positions, joint_rotations))
-    if plain and len(lead) > 1 and np.shape(beta) == lead[:-1] + (NUM_SHAPE_PARAMS,):
-        rows = ad.value_of(beta).reshape(-1, NUM_SHAPE_PARAMS)
-        if (rows.view(np.uint64) == rows[0].view(np.uint64)).all():
-            frames = np.concatenate([o, p, j.reshape(lead + (-1,))], axis=-1)
-            frames = frames.reshape(-1, frames.shape[-1])
-            keys = frames.view(np.dtype((np.void, frames.itemsize * frames.shape[-1])))[:, 0]
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            distinct = frames[first]
-            joints = fk_joints(skeleton, rows[0], distinct[:, :3], distinct[:, 3:6], distinct[:, 6:])
-            return joints[inverse].reshape(lead + (NUM_JOINTS, 3))
     scales = bone_scales(skeleton, beta)
     aa = np.concatenate([o.reshape(lead + (1, 3)), j.reshape(lead + (NUM_ARTICULATED, 3))], axis=-2)
     r, rodrigues = _rodrigues(aa)  # (..., N, 16, 3, 3)
@@ -331,8 +314,13 @@ def skeleton_from_dict(d: dict) -> HandSkeleton:
         raise ModelFileError(str(e)) from e
 
 
+@cache
 def load_skeleton(name: str = DEFAULT_MODEL) -> HandSkeleton:
-    """Load a packaged skeleton by name (currently only ``hand_model_v1``)."""
+    """Load a packaged skeleton by name (currently only ``hand_model_v1``).
+
+    The file is parsed on the first call for a name; later calls return the
+    same frozen, read-only skeleton. A name that fails raises on every call.
+    """
     ref = resources.files(__package__) / "data" / f"{name}.json"
     try:
         text = ref.read_text()

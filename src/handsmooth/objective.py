@@ -22,6 +22,7 @@ from . import camera as cam
 from .errors import DegenerateObservationError
 from .hand_model import (
     NUM_ARTICULATED,
+    NUM_JOINTS,
     NUM_SHAPE_PARAMS,
     HandSkeleton,
     fk_joints,
@@ -226,27 +227,18 @@ def trajectory_joints(traj: TrajectoryParams, skeleton: HandSkeleton) -> np.ndar
     )
 
 
-def _reprojection(joints, obs: SequenceObservation, norm: str):
-    """Mean masked pixel distance over every view, for joints (..., N, 21, 3);
-    the result has the batch shape (...).
-
-    A landmark counts only when it is visible and strictly in front of the
-    camera. Raises DegenerateObservationError when none counts in some batch
-    row. ``camera.project_views`` projects all views at once on plain values,
-    and the residuals are computed on its (V, B, N * 21) planes; each view is
-    summed over its own rows, and the views are added in view order. The
-    whole term records one tape node, whose VJP is ``_reprojection_vjp``.
-    """
+def _residuals(u, v, in_front, landmarks_u, landmarks_v, visibility, norm: str):
+    """The masked residual planes of projected pixels against landmarks, on
+    plain planes of one shape (or broadcasting to it): (du, dv, ru, rv,
+    dist, mask). du and dv are written over u and v; ru and rv are the
+    denominators of d dist / d du and d dist / d dv; dist is the residual
+    norm times the mask, which is 1.0 where a landmark is visible and
+    strictly in front of the camera and 0.0 elsewhere."""
     if norm not in REPROJECTION_NORMS:
         raise ValueError(f"norm must be one of {REPROJECTION_NORMS}")
-    points = ad.value_of(joints)
-    planes = (obs.num_views, -1, points.shape[-3] * points.shape[-2])
-    u, v, in_front, *frame = (a.reshape(planes) for a in cam.project_views(points, obs.rig))
-    landmarks_u, landmarks_v, visibility = obs._planes
     mask = (visibility & in_front).astype(float)
     du = np.subtract(u, landmarks_u, out=u)
     dv = np.subtract(v, landmarks_v, out=v)
-    # d dist / d du = du / ru, and likewise for v
     if norm == "l2":
         ru = rv = np.sqrt(du * du + dv * dv + DELTA * DELTA)
         dist = ru - DELTA
@@ -257,16 +249,91 @@ def _reprojection(joints, obs: SequenceObservation, norm: str):
         ru, rv = np.sqrt(du * du + DELTA * DELTA), np.sqrt(dv * dv + DELTA * DELTA)
         dist = (ru - DELTA) + (rv - DELTA)
     dist *= mask
-    count = 0.0  # per batch row
+    return du, dv, ru, rv, dist, mask
+
+
+def _view_mean(dist, mask):
+    """The mean of (V, R, K) residual planes per row, and the (R,) count of
+    landmarks that count: each view is summed over its own rows, and the
+    views are added in view order. Raises DegenerateObservationError when
+    none counts in some row."""
+    count = 0.0
     total = None
     for c, s in zip(mask.sum(axis=-1), dist.sum(axis=-1)):
         count = count + c
         total = s if total is None else total + s
     if np.any(count == 0.0):
         raise DegenerateObservationError("no landmark is visible and in front of a camera")
-    value = (total / count).reshape(points.shape[:-3])[()]  # a numpy scalar when unbatched
+    return total / count, count
+
+
+def _reprojection(joints, obs: SequenceObservation, norm: str):
+    """Mean masked pixel distance over every view, for joints (..., N, 21, 3);
+    the result has the batch shape (...).
+
+    A landmark counts only when it is visible and strictly in front of the
+    camera. Raises DegenerateObservationError when none counts in some batch
+    row. ``camera.project_views`` projects all views at once on plain values,
+    and ``_residuals`` scores its (V, B, N * 21) planes, which
+    ``_view_mean`` averages. The whole term records one tape node, whose VJP
+    is ``_reprojection_vjp``.
+    """
+    points = ad.value_of(joints)
+    planes = (obs.num_views, -1, points.shape[-3] * points.shape[-2])
+    u, v, in_front, *frame = (a.reshape(planes) for a in cam.project_views(points, obs.rig))
+    du, dv, ru, rv, dist, mask = _residuals(u, v, in_front, *obs._planes, norm)
+    value, count = _view_mean(dist, mask)
     ctx = (obs, count, (du, dv, ru, rv, mask), frame)
-    return ad._record(value, _reprojection_vjp, (joints,), ctx)
+    # a numpy scalar when unbatched
+    return ad._record(value.reshape(points.shape[:-3])[()], _reprojection_vjp, (joints,), ctx)
+
+
+def _shares_one_shape(vec) -> bool:
+    """Whether ``vec`` is a plain block (..., P) with batch axes whose rows
+    all hold the first row's shape vector byte for byte."""
+    if isinstance(vec, ad.Tensor) or np.ndim(vec) < 2:
+        return False
+    rows = ad.value_of(vec)[..., :NUM_SHAPE_PARAMS].reshape(-1, NUM_SHAPE_PARAMS).view(np.uint64)
+    return bool((rows == rows[0]).all())
+
+
+def _reprojection_by_frame(block, obs: SequenceObservation, skeleton: HandSkeleton, norm: str):
+    """``_reprojection`` of the joints of a plain block (..., P) whose rows
+    share one shape vector, with FK, the projection and the residual planes
+    taken once per distinct (frame index, frame).
+
+    Frames are keyed by the bytes of their index and their 51 values, so a
+    frame copied to another index, which is scored against other landmarks,
+    stays distinct, and so do -0.0 and +0.0. FK runs once on the distinct
+    frames with the shared shape, and ``_residuals`` scores them against the
+    landmark planes of their index. The dist and mask planes are gathered
+    back into the batch's (V, B, N * 21) planes before ``_view_mean``, so
+    every sum sees the addends ``_reprojection`` gives it, in its order, and
+    every value keeps its bits. The blocks of ``check_gradient`` that step a
+    frame coordinate take this route.
+    """
+    n = obs.num_frames
+    frames = block[..., NUM_SHAPE_PARAMS:].reshape(-1, FRAME_PARAMS)  # frame i % n of row i // n
+    index = np.tile(np.arange(n, dtype=float), len(frames) // n)
+    keyed = np.concatenate([index[:, None], frames], axis=1)
+    # np.unique's steps on the keys' bytes, with sorted neighbours compared
+    # as integers: numpy compares void items several times slower
+    order = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1])))[:, 0].argsort()
+    words = keyed.view(np.uint64)[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    first = order[new]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    distinct = frames[first]
+    shape = block.reshape(-1, block.shape[-1])[0, :NUM_SHAPE_PARAMS]
+    joints = fk_joints(skeleton, shape, distinct[:, :3], distinct[:, 3:6], distinct[:, 6:])
+    u, v, in_front = cam.project_views(joints, obs.rig)[:3]  # (V, D, 21)
+    observed = (a.reshape(obs.num_views, n, NUM_JOINTS)[:, first % n] for a in obs._planes)
+    dist, mask = _residuals(u, v, in_front, *observed, norm)[4:]
+    planes = (obs.num_views, -1, n * NUM_JOINTS)
+    value, _ = _view_mean(dist[:, inverse].reshape(planes), mask[:, inverse].reshape(planes))
+    return value.reshape(block.shape[:-1])
 
 
 def _reprojection_vjp(g, node):
@@ -343,6 +410,11 @@ def make_flat_objective(
     ``loss_components`` all call its closure. The vector layout matches
     ``TrajectoryParams.to_flat``. A (P,) vector, Tensor or array, gives a
     scalar; a (B, P) block of plain vectors gives (B,) values, one per row.
+    A block whose rows all hold one shape vector byte for byte, as most of
+    ``check_gradient``'s do, runs FK, the projection and the residuals once
+    per distinct (frame index, frame) (``_reprojection_by_frame``), bitwise
+    what the whole block computes; the acceleration terms read neighbouring
+    frames and stay per row.
     When ``terms_out`` is a dict, each scalar evaluation stores its four
     unweighted terms there as floats; block evaluations leave it alone. The
     total is the weighted sum of the acceleration terms (one node), plus the
@@ -361,10 +433,13 @@ def make_flat_objective(
             shape_vec = ad.value_of(shape_vec)
         total, accel_terms = _acceleration((joint_rots, orients, positions), accel_weights)
         terms = dict(zip(TERMS, accel_terms))
-        fk_inputs = (shape_vec, orients, positions, joint_rots)
-        if weights.reprojection == 0.0:  # reported, from plain values off the tape
-            fk_inputs = tuple(ad.value_of(x) for x in fk_inputs)
-        terms["loss_2d"] = _reprojection(fk_joints(skeleton, *fk_inputs), obs, norm)
+        if _shares_one_shape(vec):
+            terms["loss_2d"] = _reprojection_by_frame(ad.value_of(vec), obs, skeleton, norm)
+        else:
+            fk_inputs = (shape_vec, orients, positions, joint_rots)
+            if weights.reprojection == 0.0:  # reported, from plain values off the tape
+                fk_inputs = tuple(ad.value_of(x) for x in fk_inputs)
+            terms["loss_2d"] = _reprojection(fk_joints(skeleton, *fk_inputs), obs, norm)
         if weights.reprojection != 0.0:
             total = total + terms["loss_2d"] * weights.reprojection
         if terms_out is not None and ad.value_of(total).ndim == 0:

@@ -141,6 +141,22 @@ class TestMaskedProjection:
                 assert plane[vi].tobytes() == own.tobytes()
             assert np.all(z_safe[vi][~in_front[vi]] == 1.0)
 
+    def test_column_subset_projects_bit_for_bit(self):
+        # the objective projects the distinct frames of a block, fewer columns
+        # of the (3V, 3) @ (3, M) product than the block holds: each point's
+        # planes must not depend on M or on the point's column. M = 1 is
+        # BLAS's matrix-vector product, which the objective never takes.
+        rng = np.random.default_rng(5)
+        rig = hs.CameraRig(views=tuple(random_view(rng) for _ in range(8)))
+        points = rng.normal(0.0, 0.4, (160 * 21, 3))
+        full = hs.camera.project_views(points, rig)
+        sizes = (*range(2, 34), *range(196, 206), 777, 3359)
+        subsets = [rng.choice(len(points), m, replace=False) for m in sizes]
+        subsets += [np.arange(start, start + m) for start in (1, 5, 21) for m in (3, 21, 105)]
+        for subset in subsets:
+            for whole, part in zip(full, hs.camera.project_views(points[subset], rig)):
+                assert whole[:, subset].tobytes() == part.tobytes(), len(subset)
+
     def test_tensor_input_is_read_and_not_recorded(self):
         rng = np.random.default_rng(4)
         view = random_view(rng)

@@ -298,37 +298,6 @@ class TestForwardKinematics:
             single = fk(skeleton, beta, orients[one], positions[one], rots[one])
             assert np.allclose(batched[t], single[0], atol=1e-14)
 
-    def test_shared_shape_batch_runs_distinct_frames_once_bitwise(self, skeleton, monkeypatch):
-        # rows of one shape vector: single frame-coordinate steps, a frame
-        # copied to another index, and two frames that differ only in the sign
-        # of a zero position, which must not be merged
-        traj, _, _ = hs.random_problem(5, 2, 0)
-        frames = np.concatenate(
-            [traj.orients, traj.positions, traj.joint_rotations.reshape(5, 45)], axis=1
-        )
-        frames[2, 3] = 0.0
-        batch = np.tile(frames, (6, 1, 1))
-        batch[1, 0, 7] += 1e-6
-        batch[2, 4, 40] -= 1e-6
-        batch[3, 3] = batch[3, 1]
-        batch[4, 2, 3] = -0.0
-        batch[5, 1, 0] += 1e-6
-        beta = np.tile(traj.shape, (6, 1))
-        calls, rodrigues = [], hs.hand_model._rodrigues
-
-        def counted(w):
-            calls.append(w.shape)
-            return rodrigues(w)
-
-        monkeypatch.setattr(hs.hand_model, "_rodrigues", counted)
-        joints = fk(skeleton, beta, batch[..., 0:3], batch[..., 3:6], batch[..., 6:])
-        assert calls == [(5 + 4, 16, 3)]  # the base frames, three steps and the -0.0
-        assert joints.shape == (6, 5, 21, 3)
-        for b in range(6):
-            row = fk(skeleton, traj.shape, batch[b, :, 0:3], batch[b, :, 3:6], batch[b, :, 6:])
-            assert row.tobytes() == joints[b].tobytes(), b
-        assert joints[4, 2, 0, 0].tobytes() != joints[0, 2, 0, 0].tobytes()
-
     def test_wrist_is_position_exactly(self, skeleton):
         rng = np.random.default_rng(13)
         orients, positions, rots = random_frames(rng, 3)
@@ -484,8 +453,14 @@ class TestModelFile:
         assert np.array_equal(again.parents, skeleton.parents)
 
     def test_unknown_model_name(self):
-        with pytest.raises(ModelFileError):
-            hs.load_skeleton("no_such_model")
+        for _ in range(2):  # a failed load is not cached
+            with pytest.raises(ModelFileError):
+                hs.load_skeleton("no_such_model")
+
+    def test_packaged_model_is_parsed_once(self, skeleton):
+        assert hs.load_skeleton() is hs.load_skeleton()
+        assert hs.load_skeleton(hs.DEFAULT_MODEL) is hs.load_skeleton(hs.DEFAULT_MODEL)
+        assert not skeleton.shape_basis.flags.writeable
 
     def test_missing_field_rejected(self, skeleton):
         d = record_to_dict(skeleton)

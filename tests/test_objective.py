@@ -300,9 +300,10 @@ def block_around(flat, seed):
 
 
 def frame_block_around(flat, seed):
-    """Eight points near ``flat`` that share its shape block, so that FK takes
-    its distinct-frame route: itself, six single frame-coordinate steps like
-    check_gradient's, and a copy of frame 1's values into frame 3."""
+    """Eight points near ``flat`` that share its shape block, so that the
+    objective takes its distinct-frame route: itself, six single
+    frame-coordinate steps like check_gradient's, and a copy of frame 1's
+    values into frame 3, which is scored against frame 3's landmarks."""
     rng = np.random.default_rng(seed)
     block = np.tile(flat, (8, 1))
     coords = NUM_SHAPE_PARAMS + rng.choice(flat.size - NUM_SHAPE_PARAMS, 3, replace=False)
@@ -346,8 +347,69 @@ class TestBatchAxis:
         assert objective(np.stack([flat, flat])).shape == (2,)
         with pytest.raises(DegenerateObservationError):
             objective(lifted)
+        # rows of one shape take the distinct-frame route; a stepped shape does not
         with pytest.raises(DegenerateObservationError):
             objective(np.stack([flat, lifted, flat]))
+        stepped = flat.copy()
+        stepped[0] += 1e-6
+        with pytest.raises(DegenerateObservationError):
+            objective(np.stack([stepped, lifted, flat]))
+
+    def test_shared_shape_batch_runs_distinct_frames_once_bitwise(self, skeleton, monkeypatch):
+        # rows of one shape vector: single frame-coordinate steps, a frame
+        # copied to another index, and two frames that differ only in the sign
+        # of a zero position, which must not be merged
+        traj, obs, _ = hs.random_problem(5, 2, 0)
+        frames = np.concatenate(
+            [traj.orients, traj.positions, traj.joint_rotations.reshape(5, 45)], axis=1
+        )
+        frames[2, 3] = 0.0
+        batch = np.tile(frames, (6, 1, 1))
+        batch[1, 0, 7] += 1e-6
+        batch[2, 4, 40] -= 1e-6
+        batch[3, 3] = batch[3, 1]
+        batch[4, 2, 3] = -0.0
+        batch[5, 1, 0] += 1e-6
+        block = np.concatenate([np.tile(traj.shape, (6, 1)), batch.reshape(6, -1)], axis=1)
+        objective = hs.make_flat_objective(obs, skeleton)
+        calls, rodrigues = [], hs.hand_model._rodrigues
+        joints, fk = [], hs.objective.fk_joints
+
+        def counted(w):
+            calls.append(w.shape)
+            return rodrigues(w)
+
+        def kept(*args):
+            joints.append(fk(*args))
+            return joints[-1]
+
+        monkeypatch.setattr(hs.hand_model, "_rodrigues", counted)
+        monkeypatch.setattr(hs.objective, "fk_joints", kept)
+        values = objective(block)
+        # the base frames, three steps, the -0.0, and frame 1's values at
+        # index 3, which are scored against frame 3's landmarks
+        assert calls == [(5 + 5, 16, 3)]
+        assert values.shape == (6,)
+        for b in range(6):
+            assert np.asarray(objective(block[b])).tobytes() == values[b].tobytes(), b
+        wrist_x = {x.tobytes() for x in joints[0][:, 0, 0]}
+        assert np.float64(-0.0).tobytes() in wrist_x and np.float64(0.0).tobytes() in wrist_x
+
+    @pytest.mark.parametrize("norm", hs.REPROJECTION_NORMS)
+    def test_shared_shape_block_with_joints_behind_a_camera_bitwise(self, skeleton, norm):
+        # frame 2 lifted 100 m above the rig: its joints are behind both
+        # cameras, so its mask planes hold zeros, while the other frames count
+        traj, obs, _ = hs.random_problem(5, 2, 0)
+        positions = traj.positions.copy()
+        positions[2, 2] += 100.0
+        lifted = replace(traj, positions=positions)
+        in_front = hs.camera.project_views(hs.trajectory_joints(lifted, skeleton), obs.rig)[2]
+        assert not in_front[:, 2].any() and in_front.any()
+        objective = hs.make_flat_objective(obs, skeleton, norm=norm)
+        block = frame_block_around(lifted.to_flat(), 0)
+        values = objective(block)
+        for i, row in enumerate(block):
+            assert np.asarray(objective(row)).tobytes() == values[i].tobytes(), i
 
     def test_acceleration_over_a_batch_of_series(self):
         series = np.random.default_rng(1).normal(0.0, 0.3, (4, 6, 5))

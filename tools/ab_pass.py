@@ -21,11 +21,13 @@ calls, and takes the ratio parent / child of the two sums, so a ratio above
 1 means the child is faster. Drift of the machine's speed within a round
 cancels. The tool prints whether the child's loss and gradient bytes equal
 the parent's on the accept and wide passes, and whether its tape-free
-objective values equal the parent's on two 32-row blocks near
-``random_problem(5, 2, 0)``, the route ``check_gradient`` takes (one block
-moves every coordinate, the other keeps the shape block, so FK takes its
-distinct-frame route). Then it prints the median, min and max of the
-per-round ratios, and writes nothing.
+objective values equal the parent's on three 32-row blocks near
+``random_problem(5, 2, 0)``, the route ``check_gradient`` takes: one block
+moves every coordinate, one keeps the shape block, and one is built as
+``check_gradient`` builds one (single steps, the shape kept) with a frame's
+values copied to another frame index, so frames repeat across rows and
+indices. Then it prints the median, min and max of the per-round ratios,
+and writes nothing.
 
 Unless both are already set, the tool first re-runs itself with glibc's
 ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_`` fixed (in its own
@@ -88,17 +90,25 @@ def gradcheck_pass(hs, seed):
 
 
 def tape_free_rows(hs, seed):
-    """The bytes of the plain objective on two 32-row blocks near
+    """The bytes of the plain objective on three 32-row blocks near
     random_problem(5, 2, seed), as check_gradient calls it: one that moves
-    every coordinate, and one that keeps the shape block, as most of
-    check_gradient's blocks do."""
+    every coordinate, one that keeps the shape block, as most of
+    check_gradient's blocks do, and one of single +-h steps of frame
+    coordinates, as check_gradient builds its blocks, whose first row has
+    frame 1's values copied into frame 3."""
     traj, obs, skeleton = hs.random_problem(5, 2, seed)
     flat = traj.to_flat()
     block = flat + np.random.default_rng(seed).normal(0.0, 1e-3, (32, flat.size))
     shared = block.copy()
     shared[:, :10] = flat[:10]
+    steps = np.tile(flat, (32, 1))
+    rows = np.arange(32)
+    steps[rows, 50 + rows // 2] += np.where(rows % 2, -1e-6, 1e-6)  # in frames 0 and 1
+    steps[0, 10 + 3 * 51:10 + 4 * 51] = flat[10 + 51:10 + 2 * 51]
     objective = hs.make_flat_objective(obs, skeleton)
-    return b"".join(hs.autodiff.value_of(objective(b)).tobytes() for b in (block, shared))
+    return b"".join(
+        hs.autodiff.value_of(objective(b)).tobytes() for b in (block, shared, steps)
+    )
 
 
 def median_time(fn, reps):
