@@ -60,14 +60,16 @@ import numpy as np
 ABS_SMOOTH_DELTA = 1e-8
 
 # Perturbed points per tape-free objective call in check_gradient. On a
-# 5-frame, 2-view problem (P = 265) a 32-row block is 17 calls instead of 530.
-# Over random_problem(5, 2, s), s = 0..19, on a 2-core Xeon, a check took
-# 10.4-12.3 ms with 32 rows, 8.3-8.8 with 64, 7.9-10.6 with 128, 11.1-11.2 with
-# 265 and 17.5 with 530 (medians of alternated sweeps); tracemalloc's peak over
-# one check on random_problem(5, 2, 0) was 0.93, 1.85, 3.68, 7.60 and 14.9 MB.
-# 64 rows raised the gradcheck benchmark's peak RSS from 41.9 to 42.7 MB with
-# no rate gain the benchmark could tell from noise, so the block stays at 32.
-FD_BLOCK = 32
+# 5-frame, 2-view problem (P = 265) a 128-row block is 5 calls instead of 530.
+# The objective runs FK once per distinct (shape run, frame index, frame) of a
+# block, so each row adds about two frames to FK, not one per frame. Over random_problem(5, 2, s),
+# s = 0..19, on a 2-core Xeon, the median check took 11.4 ms with 32 rows,
+# 8.7 with 64, 8.7 with 128 and 8.2 with 256 (six alternated sweeps, glibc's
+# default malloc settings); with tools/ab_pass.py's fixed malloc thresholds,
+# 128 rows ran 1.22-1.24 times as fast as 64. tracemalloc's peak over one
+# check on random_problem(5, 2, 0) was 0.87, 1.16, 1.74 and 2.89 MB; of these
+# sizes, 128 is the largest that keeps it under 2 MB.
+FD_BLOCK = 128
 
 # The central-difference step of check_gradient.
 FD_STEP = 1e-6
@@ -273,7 +275,7 @@ def check_gradient(objective: Callable, params: np.ndarray) -> float:
     ``params`` is a flat (P,) vector and the tape side is one
     :func:`record_and_backprop` there. The finite-difference side is an
     independent, tape-free route: it calls the objective on plain (B, P)
-    blocks of at most ``FD_BLOCK`` (32) perturbed points, each a copy of
+    blocks of at most ``FD_BLOCK`` (128) perturbed points, each a copy of
     ``params`` with one coordinate set to ``params[i] + h`` or
     ``params[i] - h``. The objective must return (B,) values, row b's equal
     to its value at row b alone; any other shape raises ValueError.

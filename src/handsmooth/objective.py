@@ -276,7 +276,10 @@ def _reprojection(joints, obs: SequenceObservation, norm: str):
     row. ``camera.project_views`` projects all views at once on plain values,
     and ``_residuals`` scores its (V, B, N * 21) planes, which
     ``_view_mean`` averages. The whole term records one tape node, whose VJP
-    is ``_reprojection_vjp``.
+    is ``_reprojection_vjp``. The objective passes it the joints of one
+    sequence, on the tape or plain, and sends plain blocks to
+    ``_reprojection_by_frame``; the batch axes serve ``check_gradient`` on
+    this fused op alone.
     """
     points = ad.value_of(joints)
     planes = (obs.num_views, -1, points.shape[-3] * points.shape[-2])
@@ -288,52 +291,69 @@ def _reprojection(joints, obs: SequenceObservation, norm: str):
     return ad._record(value.reshape(points.shape[:-3])[()], _reprojection_vjp, (joints,), ctx)
 
 
-def _shares_one_shape(vec) -> bool:
-    """Whether ``vec`` is a plain block (..., P) with batch axes whose rows
-    all hold the first row's shape vector byte for byte."""
-    if isinstance(vec, ad.Tensor) or np.ndim(vec) < 2:
-        return False
-    rows = ad.value_of(vec)[..., :NUM_SHAPE_PARAMS].reshape(-1, NUM_SHAPE_PARAMS).view(np.uint64)
-    return bool((rows == rows[0]).all())
-
-
 def _reprojection_by_frame(block, obs: SequenceObservation, skeleton: HandSkeleton, norm: str):
-    """``_reprojection`` of the joints of a plain block (..., P) whose rows
-    share one shape vector, with FK, the projection and the residual planes
-    taken once per distinct (frame index, frame).
+    """``_reprojection`` of the joints of each row of a plain block (..., P),
+    with FK, the projection and the residual planes taken once per distinct
+    (shape run, frame index, frame).
 
-    Frames are keyed by the bytes of their index and their 51 values, so a
-    frame copied to another index, which is scored against other landmarks,
-    stays distinct, and so do -0.0 and +0.0. FK runs once on the distinct
-    frames with the shared shape, and ``_residuals`` scores them against the
+    A shape run is a maximal run of consecutive rows whose shape vectors are
+    equal byte for byte: in ``check_gradient``'s first block each
+    shape-stepping row is a run and the rest form one, and its other blocks
+    are one run each. Keys are compared as bytes, so a frame copied to
+    another index, which is scored against other landmarks, stays distinct,
+    and so do -0.0 and +0.0. A (row, frame) pair equal to the pair above it
+    in its run takes that pair's key, and only the other pairs are sorted:
+    at most two per row in ``check_gradient``'s blocks, which step one
+    coordinate per row. FK runs once on the distinct keys, with the shared
+    shape when the block is one run, and with each key's own shape, on a
+    (D, 1) lead, when it is several. ``_residuals`` scores the keys against the
     landmark planes of their index. The dist and mask planes are gathered
-    back into the batch's (V, B, N * 21) planes before ``_view_mean``, so
+    back into the block's (V, B, N * 21) planes before ``_view_mean``, so
     every sum sees the addends ``_reprojection`` gives it, in its order, and
-    every value keeps its bits. The blocks of ``check_gradient`` that step a
-    frame coordinate take this route.
+    every value keeps its bits.
     """
     n = obs.num_frames
-    frames = block[..., NUM_SHAPE_PARAMS:].reshape(-1, FRAME_PARAMS)  # frame i % n of row i // n
-    index = np.tile(np.arange(n, dtype=float), len(frames) // n)
-    keyed = np.concatenate([index[:, None], frames], axis=1)
-    # np.unique's steps on the keys' bytes, with sorted neighbours compared
-    # as integers: numpy compares void items several times slower
-    order = keyed.view(np.dtype((np.void, keyed.itemsize * keyed.shape[1])))[:, 0].argsort()
-    words = keyed.view(np.uint64)[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    first = order[new]
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    distinct = frames[first]
-    shape = block.reshape(-1, block.shape[-1])[0, :NUM_SHAPE_PARAMS]
-    joints = fk_joints(skeleton, shape, distinct[:, :3], distinct[:, 3:6], distinct[:, 6:])
-    u, v, in_front = cam.project_views(joints, obs.rig)[:3]  # (V, D, 21)
-    observed = (a.reshape(obs.num_views, n, NUM_JOINTS)[:, first % n] for a in obs._planes)
+    rows = np.asarray(block, dtype=float).reshape(-1, block.shape[-1])
+    shapes = rows[:, :NUM_SHAPE_PARAMS].view(np.uint64)
+    frames = rows[:, NUM_SHAPE_PARAMS:].reshape(len(rows), n, FRAME_PARAMS)
+    words = frames.view(np.uint64)
+    new_run = np.ones(len(rows), dtype=bool)
+    new_run[1:] = (shapes[1:] != shapes[:-1]).any(axis=1)
+    run = np.cumsum(new_run) - 1
+    fresh = np.ones((len(rows), n), dtype=bool)  # differs from the pair above it in its run
+    fresh[1:] = (words[1:] != words[:-1]).any(axis=2) | new_run[1:, None]
+    row, index = np.nonzero(fresh)
+    first, key = _distinct_rows(np.column_stack([run[row], index, frames[row, index]]))
+    # a pair's ordinal among the fresh pairs is that of the last one at or above it
+    ordinal = np.zeros(fresh.shape, dtype=np.intp)
+    ordinal[fresh] = np.arange(len(row))
+    inverse = key[np.maximum.accumulate(ordinal, axis=0)]
+    row, index = row[first], index[first]
+    distinct, beta = frames[row, index], rows[0, :NUM_SHAPE_PARAMS]
+    if run[-1]:  # several runs: each key's own shape, on a (D, 1) lead
+        distinct, beta = distinct[:, None], rows[row, :NUM_SHAPE_PARAMS]
+    joints = fk_joints(skeleton, beta, distinct[..., :3], distinct[..., 3:6], distinct[..., 6:])
+    u, v, in_front = cam.project_views(joints.reshape(-1, NUM_JOINTS, 3), obs.rig)[:3]  # (V, D, 21)
+    observed = (a.reshape(obs.num_views, n, NUM_JOINTS)[:, index] for a in obs._planes)
     dist, mask = _residuals(u, v, in_front, *observed, norm)[4:]
     planes = (obs.num_views, -1, n * NUM_JOINTS)
     value, _ = _view_mean(dist[:, inverse].reshape(planes), mask[:, inverse].reshape(planes))
     return value.reshape(block.shape[:-1])
+
+
+def _distinct_rows(keys):
+    """(first, inverse) of the rows of a 2-D float64 array, compared as bytes:
+    ``keys[first]`` holds each distinct row once, in byte order, and row i
+    is ``keys[first][inverse[i]]``."""
+    # np.unique's steps on the rows' bytes, with sorted neighbours compared
+    # as integers: numpy compares void items several times slower
+    order = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0].argsort()
+    words = keys.view(np.uint64)[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _reprojection_vjp(g, node):
@@ -410,11 +430,10 @@ def make_flat_objective(
     ``loss_components`` all call its closure. The vector layout matches
     ``TrajectoryParams.to_flat``. A (P,) vector, Tensor or array, gives a
     scalar; a (B, P) block of plain vectors gives (B,) values, one per row.
-    A block whose rows all hold one shape vector byte for byte, as most of
-    ``check_gradient``'s do, runs FK, the projection and the residuals once
-    per distinct (frame index, frame) (``_reprojection_by_frame``), bitwise
-    what the whole block computes; the acceleration terms read neighbouring
-    frames and stay per row.
+    A block runs FK, the projection and the residuals once per distinct
+    (shape run, frame index, frame) (``_reprojection_by_frame``), and each
+    row's value is bitwise its value alone; the acceleration terms read
+    neighbouring frames and stay per row.
     When ``terms_out`` is a dict, each scalar evaluation stores its four
     unweighted terms there as floats; block evaluations leave it alone. The
     total is the weighted sum of the acceleration terms (one node), plus the
@@ -433,7 +452,7 @@ def make_flat_objective(
             shape_vec = ad.value_of(shape_vec)
         total, accel_terms = _acceleration((joint_rots, orients, positions), accel_weights)
         terms = dict(zip(TERMS, accel_terms))
-        if _shares_one_shape(vec):
+        if not isinstance(vec, ad.Tensor) and np.ndim(vec) > 1:
             terms["loss_2d"] = _reprojection_by_frame(ad.value_of(vec), obs, skeleton, norm)
         else:
             fk_inputs = (shape_vec, orients, positions, joint_rots)

@@ -430,3 +430,42 @@ class TestFiniteDifferenceAgreement:
                 objective = hs.make_flat_objective(replace(obs, rig=rig), skeleton)
                 err = ad.check_gradient(objective, traj.to_flat())
                 assert err < 1e-5, f"{seed=} {target=}: max relative error {err:.3e}"
+
+
+def objective_case(frames, views, seed):
+    """The full objective of random_problem(frames, views, seed) as a
+    (label, function, point) case."""
+    traj, obs, skeleton = hs.random_problem(frames, views, seed)
+    return "objective", hs.make_flat_objective(obs, skeleton), traj.to_flat()
+
+
+# (label, function, point) of check_gradient at several block sizes
+BLOCK_SIZE_CASES = [
+    objective_case(5, 2, 0),
+    next(case for case in FUSED_GRADIENT_CASES if case[0] == "reprojection l2"),
+]
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize(
+        "label, fn, x", BLOCK_SIZE_CASES, ids=[case[0] for case in BLOCK_SIZE_CASES]
+    )
+    def test_check_gradient_is_bitwise_independent_of_the_block_size(
+        self, monkeypatch, label, fn, x
+    ):
+        # each row of a block is its value alone, so the block size is a speed
+        # setting: every finite-difference value and the result keep their bits
+        def recorded(block):
+            out = fn(block)
+            if not isinstance(out, ad.Tensor):  # a block, not the tape pass
+                values.append(out.tobytes())
+            return out
+
+        seen = set()
+        for size in (1, 7, 32, 128, 2 * x.size):
+            monkeypatch.setattr(ad, "FD_BLOCK", size)
+            values = []
+            err = ad.check_gradient(recorded, x)
+            assert len(values) == -(-2 * x.size // size), (label, size)
+            seen.add((np.float64(err).tobytes(), b"".join(values)))
+        assert len(seen) == 1, label

@@ -290,7 +290,8 @@ BLOCK_CASES = (
 
 def block_around(flat, seed):
     """Nine points near ``flat``: itself, four single-coordinate steps like
-    check_gradient's, and four random moves of every coordinate."""
+    check_gradient's, and four random moves of every coordinate. Their shape
+    blocks form eight runs of equal consecutive rows."""
     rng = np.random.default_rng(seed)
     block = np.tile(flat, (9, 1))
     for row, (i, step) in enumerate([(0, 1e-6), (0, -1e-6), (37, 1e-6), (-1, -1e-6)], 1):
@@ -301,7 +302,7 @@ def block_around(flat, seed):
 
 def frame_block_around(flat, seed):
     """Eight points near ``flat`` that share its shape block, so that the
-    objective takes its distinct-frame route: itself, six single
+    objective keys their frames as one shape run: itself, six single
     frame-coordinate steps like check_gradient's, and a copy of frame 1's
     values into frame 3, which is scored against frame 3's landmarks."""
     rng = np.random.default_rng(seed)
@@ -347,7 +348,7 @@ class TestBatchAxis:
         assert objective(np.stack([flat, flat])).shape == (2,)
         with pytest.raises(DegenerateObservationError):
             objective(lifted)
-        # rows of one shape take the distinct-frame route; a stepped shape does not
+        # a block of one shape run, then one of several runs
         with pytest.raises(DegenerateObservationError):
             objective(np.stack([flat, lifted, flat]))
         stepped = flat.copy()
@@ -394,6 +395,33 @@ class TestBatchAxis:
             assert np.asarray(objective(block[b])).tobytes() == values[b].tobytes(), b
         wrist_x = {x.tobytes() for x in joints[0][:, 0, 0]}
         assert np.float64(-0.0).tobytes() in wrist_x and np.float64(0.0).tobytes() in wrist_x
+
+    def test_shape_stepping_block_keys_each_shape_run_bitwise(self, skeleton, monkeypatch):
+        # built as check_gradient's first block: single steps of the shape,
+        # then of frame coordinates with the shape kept; then row 0's shape
+        # again in rows 8 and 9, not next to row 0, so they form a run of
+        # their own, and row 9 also steps a frame coordinate
+        traj, obs, _ = hs.random_problem(5, 2, 0)
+        flat = traj.to_flat()
+        coords = [0, 0, 1, 1, 10, 10, 70, 70, 0, 11]
+        block = np.tile(flat, (len(coords), 1))
+        block[np.arange(len(coords)), coords] += [1e-6, -1e-6] * (len(coords) // 2)
+        block[9, :NUM_SHAPE_PARAMS] = block[8, :NUM_SHAPE_PARAMS]
+        objective = hs.make_flat_objective(obs, skeleton)
+        calls, rodrigues = [], hs.hand_model._rodrigues
+
+        def counted(w):
+            calls.append(w.shape)
+            return rodrigues(w)
+
+        monkeypatch.setattr(hs.hand_model, "_rodrigues", counted)
+        values = objective(block)
+        # four one-row runs of 5 frames; the kept shape's run: frames 0 and 1
+        # as given, stepped + and stepped -, and frames 2-4; the last run:
+        # its 5 frames and row 9's frame 0
+        assert calls == [(4 * 5 + 3 + 3 + 3 + 6, 1, 16, 3)]
+        for b, row in enumerate(block):
+            assert np.asarray(objective(row)).tobytes() == values[b].tobytes(), b
 
     @pytest.mark.parametrize("norm", hs.REPROJECTION_NORMS)
     def test_shared_shape_block_with_joints_behind_a_camera_bitwise(self, skeleton, norm):

@@ -21,12 +21,15 @@ calls, and takes the ratio parent / child of the two sums, so a ratio above
 1 means the child is faster. Drift of the machine's speed within a round
 cancels. The tool prints whether the child's loss and gradient bytes equal
 the parent's on the accept and wide passes, and whether its tape-free
-objective values equal the parent's on three 32-row blocks near
-``random_problem(5, 2, 0)``, the route ``check_gradient`` takes: one block
-moves every coordinate, one keeps the shape block, and one is built as
-``check_gradient`` builds one (single steps, the shape kept) with a frame's
-values copied to another frame index, so frames repeat across rows and
-indices. Then it prints the median, min and max of the per-round ratios,
+objective values equal the parent's on four blocks near
+``random_problem(5, 2, 0)``, the route ``check_gradient`` takes: one
+32-row block moves every coordinate, one keeps the shape block, one is built
+as ``check_gradient`` builds one (single steps, the shape kept) with a
+frame's values copied to another frame index, so frames repeat across rows
+and indices, and the fourth is ``check_gradient``'s first 128-row block,
+whose first 20 rows step the shape. It prints each side's tracemalloc peak
+over one ``check_gradient`` on ``random_problem(5, 2, 0)``, which the block
+size sets. Then it prints the median, min and max of the per-round ratios,
 and writes nothing.
 
 Unless both are already set, the tool first re-runs itself with glibc's
@@ -46,6 +49,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -90,12 +94,13 @@ def gradcheck_pass(hs, seed):
 
 
 def tape_free_rows(hs, seed):
-    """The bytes of the plain objective on three 32-row blocks near
-    random_problem(5, 2, seed), as check_gradient calls it: one that moves
-    every coordinate, one that keeps the shape block, as most of
-    check_gradient's blocks do, and one of single +-h steps of frame
+    """The bytes of the plain objective on four blocks near
+    random_problem(5, 2, seed), as check_gradient calls it: a 32-row block
+    that moves every coordinate, one that keeps the shape block, as most of
+    check_gradient's blocks do, one of single +-h steps of frame
     coordinates, as check_gradient builds its blocks, whose first row has
-    frame 1's values copied into frame 3."""
+    frame 1's values copied into frame 3, and check_gradient's first 128-row
+    block, which steps the 10 shape coordinates and then frame coordinates."""
     traj, obs, skeleton = hs.random_problem(5, 2, seed)
     flat = traj.to_flat()
     block = flat + np.random.default_rng(seed).normal(0.0, 1e-3, (32, flat.size))
@@ -105,10 +110,26 @@ def tape_free_rows(hs, seed):
     rows = np.arange(32)
     steps[rows, 50 + rows // 2] += np.where(rows % 2, -1e-6, 1e-6)  # in frames 0 and 1
     steps[0, 10 + 3 * 51:10 + 4 * 51] = flat[10 + 51:10 + 2 * 51]
+    first = np.tile(flat, (128, 1))
+    rows = np.arange(128)
+    first[rows, rows // 2] += np.where(rows % 2, -1e-6, 1e-6)
     objective = hs.make_flat_objective(obs, skeleton)
     return b"".join(
-        hs.autodiff.value_of(objective(b)).tobytes() for b in (block, shared, steps)
+        hs.autodiff.value_of(objective(b)).tobytes() for b in (block, shared, steps, first)
     )
+
+
+def check_peak_mb(hs):
+    """tracemalloc's peak over one check_gradient on random_problem(5, 2, 0),
+    after one untraced call, in MB."""
+    check = gradcheck_pass(hs, 0)
+    check()
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def median_time(fn, reps):
@@ -148,6 +169,9 @@ def main(parent_checkout):
             print(f"{name:10s} loss and gradient bytes equal the parent's: {same}")
         same = tape_free_rows(parent, 0) == tape_free_rows(child, 0)
         print(f"{'gradcheck':10s} tape-free row bytes equal the parent's: {same}")
+        peak_a, peak_b = check_peak_mb(parent), check_peak_mb(child)
+        print(f"{'gradcheck':10s} tracemalloc peak of one check: "
+              f"parent {peak_a:.2f} MB, child {peak_b:.2f} MB")
         ratios = {name: [] for name in ("accept", "wide", "gradcheck")}
         for r in range(ROUNDS):
             calls["gradcheck"] = [gradcheck_pass(hs, r) for hs in (parent, child)]
